@@ -34,6 +34,7 @@ from .control import (
     Sequence,
     Stochastic,
     next_rand,
+    noise_pairs,
     scramble,
     stream_for_trial,
     vmtoc_step,
@@ -41,19 +42,16 @@ from .control import (
 from .stability import (
     NoWindow,
     NuModel,
-    StabilityReport,
     Unstabilizable,
     bounded_noise_safe,
     build_nu_model,
     controlled_jacobian,
     controlled_lipschitz,
     expected_log_nu,
-    expected_log_rowmax,
     local_threshold,
     min_noise_for_stability,
     norm_threshold,
     per_row_control,
-    threshold_report,
 )
 from .sim import (
     Bounded,

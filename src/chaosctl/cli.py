@@ -11,12 +11,14 @@ canonical flag set, so re-running the printed flags reproduces the file
 byte-for-byte.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
 environment variable overrides it and an explicit --seed flag wins over both.
 
-Exit status: 0 success, 1 domain/analysis errors, 2 usage errors.
+Exit status: 0 success, 1 domain/analysis errors or an --out file that
+cannot be written, 2 usage errors (including a non-finite --x0/--y0).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -73,6 +75,16 @@ def _alpha_range(text: str) -> tuple[float, float, int]:
         ) from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
 def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", choices=["henon", "lozi"], required=True)
     p.add_argument("--a", type=float, default=1.4)
@@ -87,6 +99,11 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
     p.add_argument("--ell2", type=float, default=0.0)
     p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+
+
+def _add_init_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x0", type=_finite_float, required=True)
+    p.add_argument("--y0", type=_finite_float, required=True)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -105,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one controlled trajectory as CSV n,x,y,d1,d2")
     _add_map_flags(p)
     _add_schedule_flags(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
+    _add_init_flags(p)
     p.add_argument("--steps", type=int, default=2000)
     _add_common_flags(p)
 
@@ -125,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limitset", help="post-transient tail points as CSV x,y")
     _add_map_flags(p)
     _add_schedule_flags(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
+    _add_init_flags(p)
     p.add_argument("--steps", type=int, default=700)
     _add_common_flags(p)
 
@@ -161,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="convergence probability over repeated trials")
     _add_map_flags(p)
     _add_schedule_flags(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
+    _add_init_flags(p)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--trials", type=int, required=True)
     _add_common_flags(p)
@@ -198,59 +212,49 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
-def _args_line(command: str, pairs: list[tuple[str, str]]) -> str:
-    return "# args: " + command + " " + " ".join(f"--{k} {v}" for k, v in pairs)
+_MAP_FLAGS = ("map", "a", "b", "branch")
+_SCHEDULE_FLAGS = ("alpha1", "ell1", "dist1", "alpha2", "ell2", "dist2")
+
+#: Canonical flags of each CSV subcommand, in `# args:` order.
+_CANONICAL = {
+    "simulate": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "seed"),
+    "bifurcation": _MAP_FLAGS
+    + ("alpha_range", "ell1", "dist1", "alpha2", "ell2", "dist2", "inits", "steps", "seed"),
+    "limitset": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "seed"),
+    "montecarlo": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "trials", "seed"),
+}
 
 
-def _schedule_pairs(args) -> list[tuple[str, str]]:
-    return [
-        ("alpha1", _fmt(args.alpha1)),
-        ("ell1", _fmt(args.ell1)),
-        ("dist1", args.dist1),
-        ("alpha2", _fmt(args.alpha2)),
-        ("ell2", _fmt(args.ell2)),
-        ("dist2", args.dist2),
-    ]
+def _args_line(args) -> str:
+    """The `# args:` comment: re-running these flags reproduces the file."""
+    parts = ["# args:", args.command]
+    for dest in _CANONICAL[args.command]:
+        v = _seed(args) if dest == "seed" else getattr(args, dest)
+        if isinstance(v, float):
+            v = _fmt(v)
+        elif isinstance(v, tuple):  # --alpha-range
+            v = f"{_fmt(v[0])}:{_fmt(v[1])}:{v[2]}"
+        parts.append(f"--{dest.replace('_', '-')} {v}")
+    return " ".join(parts)
 
 
-def _map_pairs(args) -> list[tuple[str, str]]:
-    return [
-        ("map", args.map),
-        ("a", _fmt(args.a)),
-        ("b", _fmt(args.b)),
-        ("branch", args.branch),
-    ]
-
-
-def _cmd_simulate(args) -> str:
-    seed = _seed(args)
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=seed)
+def _cmd_simulate(args) -> tuple[str, int]:
+    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
     traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
-    pairs = (
-        _map_pairs(args)
-        + _schedule_pairs(args)
-        + [
-            ("x0", _fmt(args.x0)),
-            ("y0", _fmt(args.y0)),
-            ("steps", str(args.steps)),
-            ("seed", str(seed)),
-        ]
-    )
     lines = [
-        _args_line("simulate", pairs),
+        _args_line(args),
         f"# outcome: {traj.outcome}",
         "n,x,y,d1,d2",
         f"0,{_fmt(traj.points[0].x)},{_fmt(traj.points[0].y)},,",
     ]
     for n, (p, (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1):
         lines.append(f"{n},{_fmt(p.x)},{_fmt(p.y)},{_fmt(d1)},{_fmt(d2)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_bifurcation(args) -> str:
-    seed = _seed(args)
+def _cmd_bifurcation(args) -> tuple[str, int]:
     lo, hi, n_alpha = args.alpha_range
-    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=args.steps, seed=seed)
+    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=args.steps, seed=_seed(args))
     res = bifurcation_sweep(
         _params(args),
         _branch(args),
@@ -264,29 +268,17 @@ def _cmd_bifurcation(args) -> str:
         dist1=_DISTS[args.dist1],
         threads=args.threads,
     )
-    pairs = _map_pairs(args) + [
-        ("alpha-range", f"{_fmt(lo)}:{_fmt(hi)}:{n_alpha}"),
-        ("ell1", _fmt(args.ell1)),
-        ("dist1", args.dist1),
-        ("alpha2", _fmt(args.alpha2)),
-        ("ell2", _fmt(args.ell2)),
-        ("dist2", args.dist2),
-        ("inits", str(args.inits)),
-        ("steps", str(args.steps)),
-        ("seed", str(seed)),
-    ]
     lines = [
-        _args_line("bifurcation", pairs),
+        _args_line(args),
         f"# escaped_cells: {res.escaped_cells}",
         "alpha,x",
     ]
     lines.extend(f"{_fmt(alpha)},{_fmt(x)}" for alpha, x in res.points)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_limitset(args) -> str:
-    seed = _seed(args)
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=seed)
+def _cmd_limitset(args) -> tuple[str, int]:
+    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
     pts = limit_set(
         _params(args),
         _branch(args),
@@ -295,32 +287,22 @@ def _cmd_limitset(args) -> str:
         cfg,
         threads=args.threads,
     )
-    pairs = (
-        _map_pairs(args)
-        + _schedule_pairs(args)
-        + [
-            ("x0", _fmt(args.x0)),
-            ("y0", _fmt(args.y0)),
-            ("steps", str(args.steps)),
-            ("seed", str(seed)),
-        ]
-    )
-    lines = [_args_line("limitset", pairs), "x,y"]
+    lines = [_args_line(args), "x,y"]
     lines.extend(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_threshold(args) -> str:
+def _cmd_threshold(args) -> tuple[str, int]:
     if args.norm is None:
         v = local_threshold(_params(args), _branch(args), args.alpha2)
     else:
         v = norm_threshold(
             _params(args), _branch(args), args.radius, args.alpha2, _NORMS[args.norm]
         )
-    return f"alpha_star,{v:.5g}\n"
+    return f"alpha_star,{v:.5g}\n", 0
 
 
-def _cmd_explog(args) -> str:
+def _cmd_explog(args) -> tuple[str, int]:
     model = build_nu_model(
         _params(args),
         _branch(args),
@@ -330,10 +312,10 @@ def _cmd_explog(args) -> str:
         ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
     )
     v = expected_log_nu(model, args.method, seed=_seed(args))
-    return f"e_ln_nu,{_fmt(v)}\n"
+    return f"e_ln_nu,{_fmt(v)}\n", 0
 
 
-def _cmd_minnoise(args) -> str:
+def _cmd_minnoise(args) -> tuple[str, int]:
     v = min_noise_for_stability(
         _params(args),
         _branch(args),
@@ -343,12 +325,11 @@ def _cmd_minnoise(args) -> str:
         _DISTS[args.dist1],
         ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
     )
-    return f"ell1_star,{v:.5g}\n"
+    return f"ell1_star,{v:.5g}\n", 0
 
 
-def _cmd_montecarlo(args) -> str:
-    seed = _seed(args)
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=seed)
+def _cmd_montecarlo(args) -> tuple[str, int]:
+    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
     rep = mc_convergence(
         _params(args),
         _branch(args),
@@ -358,34 +339,24 @@ def _cmd_montecarlo(args) -> str:
         cfg,
         threads=args.threads,
     )
-    pairs = (
-        _map_pairs(args)
-        + _schedule_pairs(args)
-        + [
-            ("x0", _fmt(args.x0)),
-            ("y0", _fmt(args.y0)),
-            ("steps", str(args.steps)),
-            ("trials", str(args.trials)),
-            ("seed", str(seed)),
-        ]
-    )
     lines = [
-        _args_line("montecarlo", pairs),
+        _args_line(args),
         "trials,converged,fraction,ci_low,ci_high",
         f"{rep.trials},{rep.converged},{_fmt(rep.fraction)},{_fmt(rep.ci_low)},{_fmt(rep.ci_high)}",
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
+def _cmd_verify(args) -> tuple[str, int]:
     rows = verify_mod.run_all(threads=args.threads)
     lines = ["criterion,status,detail"]
     for row in rows:
         detail = row.detail.replace(",", ";")
         lines.append(f"{row.name},{'pass' if row.passed else 'FAIL'},{detail}")
-    return "\n".join(lines) + "\n", all(r.passed for r in rows)
+    return "\n".join(lines) + "\n", 0 if all(r.passed for r in rows) else 1
 
 
+#: Every subcommand except `repro`, which `_parse` resolves to its preset.
 _HANDLERS = {
     "simulate": _cmd_simulate,
     "bifurcation": _cmd_bifurcation,
@@ -394,6 +365,7 @@ _HANDLERS = {
     "explog": _cmd_explog,
     "minnoise": _cmd_minnoise,
     "montecarlo": _cmd_montecarlo,
+    "verify": _cmd_verify,
 }
 
 
@@ -410,44 +382,42 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _resolve_repro(args) -> list[str]:
-    argv = list(PRESETS[args.preset])
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.threads is not None:
-        argv += ["--threads", str(args.threads)]
-    return argv
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; `repro` is replaced by its preset, parsed with the same parser."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "repro":
+        return args
+    preset = list(PRESETS[args.preset])
+    for flag in ("seed", "out", "threads"):
+        if getattr(args, flag) is not None:
+            preset.append(f"--{flag}={getattr(args, flag)}")
+    return parser.parse_args(preset)
 
 
 def render(argv: list[str]) -> str:
     """Parse argv for a data-producing command and return its output text."""
-    args = build_parser().parse_args(argv)
-    if args.command == "repro":
-        return render(_resolve_repro(args))
-    return _HANDLERS[args.command](args)
+    args = _parse(argv)
+    return _HANDLERS[args.command](args)[0]
 
 
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit status."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "verify":
-            text, ok = _cmd_verify(args)
-            status = 0 if ok else 1
-        elif args.command == "repro":
-            text = render(_resolve_repro(args))
-            status = 0
-        else:
-            text = _HANDLERS[args.command](args)
-            status = 0
+        text, status = _HANDLERS[args.command](args)
     except (DomainError, NoWindow, Unstabilizable, InvalidControl, ValueError) as e:
         print(f"chaosctl: {e}", file=sys.stderr)
         return 1
-    if getattr(args, "out", None):
-        _write_atomic(args.out, text)
+    if args.out:
+        try:
+            _write_atomic(args.out, text)
+        except OSError as e:
+            print(f"chaosctl: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 1
         print(f"chaosctl: wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

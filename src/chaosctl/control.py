@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Iterator, Union
 
-from .maps import MapParams, MapKind, Point2
+from .maps import MapParams, Point2, map_step
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -102,6 +102,31 @@ def sample_noise(dist: NoiseDist, z: int) -> float:
     if dist is NoiseDist.BERNOULLI_PM1:
         return bernoulli_pm1(z)
     return uniform_m1p1(z)
+
+
+def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[float, float]]:
+    """Endless (chi_1, chi_2) samples from the raw SplitMix64 state s.
+
+    This is the draw discipline of every stochastic consumer: two draws per
+    step or sample, channel 1 first.  The generator step and the sample maps
+    are written out inline (they must match `_sm64_next`, `bernoulli_pm1` and
+    `uniform_m1p1`, which `control_at_step` uses as the reference) so that a
+    per-step consumer pays one generator resumption and no calls.
+    """
+    bern1 = dist1 is NoiseDist.BERNOULLI_PM1
+    bern2 = dist2 is NoiseDist.BERNOULLI_PM1
+    while True:
+        s = (s + _GOLDEN) & _M64
+        z = ((s ^ (s >> 30)) * _MIX1) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2) & _M64
+        z ^= z >> 31
+        chi1 = (1.0 if z >> 63 else -1.0) if bern1 else 2.0 * ((z >> 11) * _U53) - 1.0
+        s = (s + _GOLDEN) & _M64
+        z = ((s ^ (s >> 30)) * _MIX1) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2) & _M64
+        z ^= z >> 31
+        chi2 = (1.0 if z >> 63 else -1.0) if bern2 else 2.0 * ((z >> 11) * _U53) - 1.0
+        yield chi1, chi2
 
 
 @dataclass(frozen=True)
@@ -204,9 +229,5 @@ def vmtoc_step(
     When the target is a fixed point this is X' - X* = (I-U)(F(X) - X*), so
     the target is invariant for any control pair.
     """
-    if params.kind is MapKind.HENON:
-        fx = p.y + 1.0 - params.a * p.x * p.x
-    else:
-        fx = p.y + 1.0 - params.a * abs(p.x)
-    fy = params.b * p.x
-    return Point2(d1 * target.x + (1.0 - d1) * fx, d2 * target.y + (1.0 - d2) * fy)
+    f = map_step(params, p)
+    return Point2(d1 * target.x + (1.0 - d1) * f.x, d2 * target.y + (1.0 - d2) * f.y)

@@ -22,8 +22,8 @@ from .control import (
     NoiseDist,
     Sequence,
     Stochastic,
-    _sm64_next,
-    sample_noise,
+    next_rand,
+    noise_pairs,
     stream_for_trial,
     uniform_m1p1,
 )
@@ -37,6 +37,13 @@ COLLAPSE_WINDOW = 50
 #: of control intensity (at 700-step runs), so this tolerance locates the
 #: collapse within about +0.004 of the true threshold.
 COLLAPSE_TOL = 2.5e-2
+#: Consecutive states within conv_tol of the target that count as converged.
+CONV_WINDOW = 50
+#: Max-norm beyond which a state counts as escaped.
+ESCAPE_BOUND = 1e8
+#: Longest period, and the per-coordinate tolerance, of tail period detection.
+PERIOD_MAX = 16
+PERIOD_TOL = 1e-6
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -47,28 +54,22 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run length, seed, and classification knobs for one experiment."""
+    """Run length, seed, and tail sizes for one experiment."""
 
     initial: Point2
     steps: int
     seed: int = 0
     conv_tol: float = 1e-9
-    conv_window: int = 50
-    escape_bound: float = 1e8
     transient: int = 500
     record_tail: int = 200
-    period_max: int = 16
-    period_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
         if self.conv_tol <= 0.0:
             raise ValueError(f"conv_tol must be positive, got {self.conv_tol}")
-        if self.escape_bound <= 1.0:
-            raise ValueError(f"escape_bound must exceed 1, got {self.escape_bound}")
-        if self.conv_window < 1 or self.record_tail < 1 or self.period_max < 1:
-            raise ValueError("conv_window, record_tail and period_max must be >= 1")
+        if self.record_tail < 1:
+            raise ValueError(f"record_tail must be >= 1, got {self.record_tail}")
         if self.transient < 0:
             raise ValueError(f"transient must be >= 0, got {self.transient}")
         if self.record_tail > self.steps - self.transient:
@@ -190,17 +191,17 @@ def _classify_points(
     """Classify a recorded tail.  pts is the last <= record_tail states."""
     tail = pts[-cfg.record_tail :]
     tx, ty = target.x, target.y
-    window = tail[-cfg.conv_window :]
-    if len(window) >= cfg.conv_window and all(
+    window = tail[-CONV_WINDOW:]
+    if len(window) >= CONV_WINDOW and all(
         max(abs(x - tx), abs(y - ty)) < cfg.conv_tol for x, y in window
     ):
         return Converged(steps_run)
-    for k in range(1, cfg.period_max + 1):
+    for k in range(1, PERIOD_MAX + 1):
         if k >= len(tail):
             break
         if all(
             max(abs(tail[i][0] - tail[i - k][0]), abs(tail[i][1] - tail[i - k][1]))
-            < cfg.period_tol
+            < PERIOD_TOL
             for i in range(k, len(tail))
         ):
             if k == 1 and all(
@@ -241,8 +242,7 @@ def _run_raw(
     henon = params.kind is MapKind.HENON
     a, b = params.a, params.b
     tx, ty = target.x, target.y
-    bound = cfg.escape_bound
-    conv_tol, conv_window = cfg.conv_tol, cfg.conv_window
+    bound, conv_tol = ESCAPE_BOUND, cfg.conv_tol
     x, y = cfg.initial.x, cfg.initial.y
 
     constant = isinstance(schedule, Constant)
@@ -255,13 +255,14 @@ def _run_raw(
         n_pairs = len(pairs)
     else:
         c1, c2 = schedule.ch1, schedule.ch2
-        a1, l1, dist1 = c1.alpha, c1.ell, c1.dist
-        a2, l2, dist2 = c2.alpha, c2.ell, c2.dist
+        a1, l1, a2, l2 = c1.alpha, c1.ell, c2.alpha, c2.ell
         # Zero amplitudes realize constant controls; skipping the draws is
         # unobservable because each run owns its stream exclusively.
         if l1 == 0.0 and l2 == 0.0:
             constant = True
             d1, d2 = a1, a2
+        else:
+            noise = noise_pairs(rng_s, c1.dist, c2.dist)
 
     tail_mode = record == "tail"
     if tail_mode:
@@ -277,10 +278,9 @@ def _run_raw(
         if sequence:
             d1, d2 = pairs[(n - 1) % n_pairs]
         elif not constant:
-            rng_s, z1 = _sm64_next(rng_s)
-            rng_s, z2 = _sm64_next(rng_s)
-            d1 = a1 + l1 * sample_noise(dist1, z1)
-            d2 = a2 + l2 * sample_noise(dist2, z2)
+            chi1, chi2 = next(noise)
+            d1 = a1 + l1 * chi1
+            d2 = a2 + l2 * chi2
         if henon:
             fx = y + 1.0 - a * x * x
         else:
@@ -295,7 +295,7 @@ def _run_raw(
             break
         if abs(x - tx) < conv_tol and abs(y - ty) < conv_tol:
             in_tol += 1
-            if in_tol >= conv_window:
+            if in_tol >= CONV_WINDOW:
                 outcome = Converged(n)
                 break
         else:
@@ -321,15 +321,39 @@ def run_trajectory(
 ) -> Trajectory:
     """Iterate the controlled map from cfg.initial for cfg.steps steps.
 
-    Stops early on convergence (conv_window consecutive states within
+    Stops early on convergence (CONV_WINDOW consecutive states within
     conv_tol of the target in the max norm) or escape (max-norm beyond
-    escape_bound); otherwise classifies the recorded tail.  Bit-deterministic
+    ESCAPE_BOUND); otherwise classifies the recorded tail.  Bit-deterministic
     for a fixed seed; uses trial stream 0 of cfg.seed.
     """
     if record not in ("all", "tail"):
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
     target = fixed_point(params, branch)
     return _run_raw(params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record)
+
+
+def _cell_tail(
+    params: MapParams,
+    target: Point2,
+    schedule: ControlSchedule,
+    cfg: SimConfig,
+    init: Point2,
+    stream: int,
+) -> Optional[list[Point2]]:
+    """Recorded tail of one finished cell started at init, or None if it escaped.
+
+    A converged cell repeats its final state record_tail times: that is its
+    limit set.
+    """
+    traj = _run_raw(
+        params, target, schedule, replace(cfg, initial=init),
+        stream_for_trial(cfg.seed, stream).s, "tail",
+    )
+    if isinstance(traj.outcome, Escaped):
+        return None
+    if isinstance(traj.outcome, Converged):
+        return [traj.points[-1]] * cfg.record_tail
+    return traj.points
 
 
 def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[int]) -> list:
@@ -401,19 +425,11 @@ def bifurcation_sweep(
     )
     n_inits = len(inits)
 
-    def run_cell(k: int) -> tuple[list[float], bool]:
+    def run_cell(k: int) -> Optional[list[float]]:
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
-        cell_cfg = replace(cfg, initial=inits[j])
-        traj = _run_raw(
-            params, target, schedule, cell_cfg, stream_for_trial(cfg.seed, k).s, "tail"
-        )
-        if isinstance(traj.outcome, Escaped):
-            return [], True
-        if isinstance(traj.outcome, Converged):
-            last = traj.points[-1].x
-            return [last] * cfg.record_tail, False
-        return [p.x for p in traj.points], False
+        pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
+        return None if pts is None else [p.x for p in pts]
 
     cells = _parallel_map(run_cell, n_alpha * n_inits, threads)
     points: list[tuple[float, float]] = []
@@ -423,8 +439,8 @@ def bifurcation_sweep(
         lo = math.inf
         hi = -math.inf
         for j in range(n_inits):
-            xs, did_escape = cells[i * n_inits + j]
-            if did_escape:
+            xs = cells[i * n_inits + j]
+            if xs is None:
                 escaped += 1
                 continue
             points.extend((alpha, x) for x in xs)
@@ -473,20 +489,12 @@ def limit_set(
         raise ValueError("need at least one initial state")
     target = fixed_point(params, branch)
 
-    def run_one(j: int) -> list[Point2]:
-        cell_cfg = replace(cfg, initial=inits[j])
-        traj = _run_raw(
-            params, target, schedule, cell_cfg, stream_for_trial(cfg.seed, j).s, "tail"
-        )
-        if isinstance(traj.outcome, Escaped):
-            return []
-        if isinstance(traj.outcome, Converged):
-            return [traj.points[-1]] * cfg.record_tail
-        return traj.points
+    def run_one(j: int) -> Optional[list[Point2]]:
+        return _cell_tail(params, target, schedule, cfg, inits[j], j)
 
     out: list[Point2] = []
     for pts in _parallel_map(run_one, len(inits), threads):
-        out.extend(pts)
+        out.extend(pts or ())
     return out
 
 
@@ -510,12 +518,12 @@ def mc_convergence(
     target = fixed_point(params, branch)
 
     def run_one(k: int) -> bool:
-        s = stream_for_trial(cfg.seed, k).s
+        rng = stream_for_trial(cfg.seed, k)
         if isinstance(init_sampler, PointSet):
             init = init_sampler.points[k % len(init_sampler.points)]
         else:
-            s, z1 = _sm64_next(s)
-            s, z2 = _sm64_next(s)
+            rng, z1 = next_rand(rng)
+            rng, z2 = next_rand(rng)
             bx = init_sampler
             init = Point2(
                 bx.x_lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (bx.x_hi - bx.x_lo),
@@ -523,7 +531,7 @@ def mc_convergence(
             )
         trial_cfg = replace(cfg, initial=init)
         try:
-            traj = _run_raw(params, target, schedule, trial_cfg, s, "tail")
+            traj = _run_raw(params, target, schedule, trial_cfg, rng.s, "tail")
         except (ValueError, ArithmeticError):
             return False
         return isinstance(traj.outcome, Converged)
@@ -538,21 +546,18 @@ def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
     """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
 
     The final entry converges to the model's expected log by the law of
-    large numbers; the draw discipline (two draws per step, channel 1 first)
-    matches the trajectory engine.
+    large numbers; the draws come from `noise_pairs`, as in the trajectory
+    engine.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not model.positive:
         raise DomainError(f"nu can reach zero: need c > |p| + |q|, got c={model.c}")
     c, p, q = model.c, model.p, model.q
-    d1, d2 = model.dist1, model.dist2
-    s = stream_for_trial(seed, 0).s
+    noise = noise_pairs(stream_for_trial(seed, 0).s, model.dist1, model.dist2)
     out = []
     total = 0.0
-    for k in range(1, n + 1):
-        s, z1 = _sm64_next(s)
-        s, z2 = _sm64_next(s)
-        total += math.log(c + p * sample_noise(d1, z1) + q * sample_noise(d2, z2))
+    for k, (chi1, chi2) in zip(range(1, n + 1), noise):
+        total += math.log(c + p * chi1 + q * chi2)
         out.append(total / k)
     return out

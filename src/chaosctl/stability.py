@@ -17,15 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
-from .control import (
-    ControlChannel,
-    NoiseDist,
-    _sm64_next,
-    sample_noise,
-    stream_for_trial,
-)
+from .control import ControlChannel, NoiseDist, noise_pairs, stream_for_trial
 from .linalg2 import Matrix2, NormKind, induced_norm
 from .maps import Branch, DomainError, MapKind, MapParams, fixed_point, lipschitz_matrix
 
@@ -61,17 +56,6 @@ class NuModel:
     @property
     def positive(self) -> bool:
         return self.c > abs(self.p) + abs(self.q)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """A critical control intensity together with how it was obtained."""
-
-    threshold: float
-    norm: Optional[NormKind]
-    beta: float
-    R: float
-    method: str  # "trace-det" | "norm-bound"
 
 
 def controlled_jacobian(
@@ -176,21 +160,6 @@ def norm_threshold(
     return hi
 
 
-def threshold_report(
-    params: MapParams,
-    branch: Branch,
-    beta: float,
-    R: float = 0.0,
-    norm: Optional[NormKind] = None,
-) -> StabilityReport:
-    """Bundle a threshold with its provenance (trace-det or norm bound)."""
-    if norm is None:
-        return StabilityReport(local_threshold(params, branch, beta), None, beta, R, "trace-det")
-    return StabilityReport(
-        norm_threshold(params, branch, R, beta, norm), norm, beta, R, "norm-bound"
-    )
-
-
 def per_row_control(L1: float, L2: float, nu: float) -> tuple[float, float]:
     """Smallest diagonal control making each Lipschitz row at most nu.
 
@@ -287,8 +256,7 @@ def _check_model(model: NuModel) -> None:
     if not model.regime_ok:
         raise DomainError(
             "affine model invalid: the first-row dominance condition fails for "
-            "some noise realization; see expected_log_rowmax for a Monte Carlo "
-            "diagnostic of E ln max(row1, row2)"
+            "some noise realization, so nu is not affine in the noises"
         )
     if not model.positive:
         raise DomainError(
@@ -328,21 +296,18 @@ def _explog_quadrature(model: NuModel, tol: float = 1e-10) -> float:
 def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of ln nu.
 
-    Uses trial stream 0 of `seed`; two noise draws per sample, channel 1
-    first, mirroring the trajectory engine's draw discipline.
+    Uses trial stream 0 of `seed` and draws from `noise_pairs`, as the
+    trajectory engine does.
     """
     _check_model(model)
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     c, p, q = model.c, model.p, model.q
-    d1, d2 = model.dist1, model.dist2
-    s = stream_for_trial(seed, 0).s
+    noise = noise_pairs(stream_for_trial(seed, 0).s, model.dist1, model.dist2)
     total = 0.0
     total_sq = 0.0
-    for _ in range(samples):
-        s, z1 = _sm64_next(s)
-        s, z2 = _sm64_next(s)
-        v = math.log(c + p * sample_noise(d1, z1) + q * sample_noise(d2, z2))
+    for chi1, chi2 in islice(noise, samples):
+        v = math.log(c + p * chi1 + q * chi2)
         total += v
         total_sq += v * v
     mean = total / samples
@@ -386,33 +351,6 @@ def expected_log_nu(
             + math.log(c - p - q)
         )
     return _explog_quadrature(model)
-
-
-def expected_log_rowmax(
-    params: MapParams,
-    branch: Branch,
-    R: float,
-    ch1: ControlChannel,
-    ch2: ControlChannel,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo E ln max(row1, row2) of the l-inf evaluation.
-
-    Diagnostic for parameter sets where the first-row dominance condition
-    fails and the affine model (hence the closed forms) does not apply.
-    """
-    a = lipschitz_matrix(params, branch, R)
-    k1, b = a.a11, params.b
-    s = stream_for_trial(seed, 0).s
-    total = 0.0
-    for _ in range(samples):
-        s, z1 = _sm64_next(s)
-        s, z2 = _sm64_next(s)
-        d1 = ch1.alpha + ch1.ell * sample_noise(ch1.dist, z1)
-        d2 = ch2.alpha + ch2.ell * sample_noise(ch2.dist, z2)
-        total += math.log(max(abs(1.0 - d1) * (k1 + 1.0), abs(1.0 - d2) * b))
-    return total / samples
 
 
 def min_noise_for_stability(

@@ -2,18 +2,19 @@
 
 `run_all` evaluates each row and reports pass/fail with the measured values;
 the CLI `verify` subcommand prints the table and exits 0 only when every row
-passes.  Rows 4b, 4d and 4f are known-unattainable as stated: the noise
-amplitudes under test sit at the edge of stochastic stability (the top
-Lyapunov exponent of the controlled linearization is within a few 1e-3 of
-zero), so reaching the 1e-9 convergence window within 2000 steps is a
-marginal event rather than a near-certain one.  The rows are evaluated
-faithfully and report the measured fractions.
+passes.  Rows 4b, 4d and 4f fail as stated: far fewer than 95% of their
+trials reach the 1e-9 convergence window within 2000 steps.  The suspected
+cause, that these noise amplitudes sit at the margin of stochastic
+stability, is an unverified explanation: no code here computes the top
+Lyapunov exponent that would show it (ROADMAP.md, item 5).  The rows are
+evaluated faithfully and report the measured fractions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .control import (
@@ -21,9 +22,8 @@ from .control import (
     ControlChannel,
     NoiseDist,
     Stochastic,
-    _sm64_next,
+    noise_pairs,
     stream_for_trial,
-    uniform_m1p1,
     vmtoc_step,
 )
 from .linalg2 import NormKind, eigen_moduli, induced_norm, mat_mul, mat_vec, trace_det_stable, vec_norm
@@ -253,14 +253,10 @@ def check_global_lozi(threads=None) -> CheckRow:
 # --- criterion 6: property suites -------------------------------------------
 
 def _rand_stream(seed: int):
-    s = stream_for_trial(seed, 0).s
-
-    def draw() -> float:
-        nonlocal s
-        s, z = _sm64_next(s)
-        return 2.0 * uniform_m1p1(z)  # uniform on [-2, 2)
-
-    return draw
+    """Uniform draws on [-2, 2), one per call, from trial stream 0 of seed."""
+    unif = NoiseDist.UNIFORM_M1P1
+    draws = chain.from_iterable(noise_pairs(stream_for_trial(seed, 0).s, unif, unif))
+    return lambda: 2.0 * next(draws)
 
 
 def check_norm_axioms(cases: int = 10_000) -> CheckRow:

@@ -1,13 +1,12 @@
 """Acceptance gate: runs every release criterion and prints one line per row.
 
 Three noise-stabilization rows (4b, 4d, 4f) are marked xfail: the required
->= 95% convergence within 2000 steps is unattainable for those parameter
-sets because they sit at the margin of stochastic stability (top Lyapunov
-exponent of the controlled linearization within a few 1e-3 of zero), while
-the sibling negative-control row (4e, < 5%) pins the same convergence
-definition from the other side.  See the decisions ledger for the analysis;
-the rows are still evaluated exactly as stated and their measured values
-printed.
+>= 95% convergence within 2000 steps is not reached for those parameter
+sets, while the sibling negative-control row (4e, < 5%) pins the same
+convergence definition from the other side.  That these sets sit at the
+margin of stochastic stability is an unverified explanation: no code
+computes the top Lyapunov exponent yet (ROADMAP.md, item 5).  The rows are
+still evaluated exactly as stated and their measured values printed.
 """
 
 import pytest
@@ -55,8 +54,8 @@ def test_c4a_henon_no_noise(table):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="marginal stochastic stability: ~52% of trials reach the 1e-9 "
-    "window within 2000 steps; see decisions ledger",
+    reason="~52% of trials reach the 1e-9 window within 2000 steps; marginal "
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
 )
 def test_c4b_henon_noise_stabilized(table):
     _assert_row(table, "4b-henon-ell03")
@@ -68,8 +67,8 @@ def test_c4c_lozi_no_noise(table):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="marginal stochastic stability: ~29% of trials reach the 1e-9 "
-    "window within 2000 steps; see decisions ledger",
+    reason="~29% of trials reach the 1e-9 window within 2000 steps; marginal "
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
 )
 def test_c4d_lozi_noise_stabilized(table):
     _assert_row(table, "4d-lozi-ell015")
@@ -81,8 +80,8 @@ def test_c4e_lozi_second_channel_off(table):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="marginal stochastic stability: ~26% of trials reach the 1e-9 "
-    "window within 2000 steps; see decisions ledger",
+    reason="~26% of trials reach the 1e-9 window within 2000 steps; marginal "
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
 )
 def test_c4f_lozi_second_channel_on(table):
     _assert_row(table, "4f-lozi-ell2-055")

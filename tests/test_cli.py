@@ -115,6 +115,77 @@ def test_out_file_atomic_and_equal_to_stdout(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".chaosctl-")]
 
 
+def test_out_into_missing_directory_exit_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "thr.csv"
+    rc, out, err = run_cli(["threshold", "--map", "henon", "--out", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"chaosctl: cannot write {path}: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_onto_directory_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    rc, _, err = run_cli(
+        ["threshold", "--map", "henon", "--out", str(tmp_path / "taken")], capsys
+    )
+    assert rc == 1
+    assert err.startswith(f"chaosctl: cannot write {tmp_path / 'taken'}: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["limitset"],
+    ["montecarlo", "--trials", "3"],
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--x0", "--y0"])
+def test_non_finite_initial_state_is_usage_error(command, value, flag, capsys):
+    argv = command + ["--map", "henon", "--x0", "0.3", "--y0", "0.1", f"{flag}={value}"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"{flag}: must be finite, got '{value}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--map", "lozi", "--a", "1.5", "--b", "0.25", "--alpha1", "0.3",
+     "--ell1", "0.2", "--dist1", "uniform", "--beta", "0.6", "--ell2", "0.3",
+     "--dist2", "uniform", "--x0", "0.1", "--y0", "0.2", "--steps", "800"],
+    ["bifurcation", "--map", "henon", "--branch", "minus", "--alpha-range", "0.5:0.6:4",
+     "--ell1", "0.1", "--dist1", "uniform", "--alpha2", "0.3", "--ell2", "0.05",
+     "--dist2", "uniform", "--inits", "3", "--steps", "750"],
+    ["limitset", "--map", "henon", "--alpha", "0.44", "--ell1", "0.05",
+     "--beta", "0.1", "--ell2", "0.02", "--dist2", "uniform", "--x0", "0.3",
+     "--y0", "0.1", "--steps", "900"],
+    ["montecarlo", "--map", "lozi", "--alpha", "0.4", "--ell1", "0.15",
+     "--dist1", "uniform", "--beta", "0.2", "--ell2", "0.1", "--dist2", "uniform",
+     "--x0", "-10", "--y0", "-15", "--steps", "900", "--trials", "7"],
+], ids=lambda argv: argv[0])
+def test_args_line_round_trip(argv, capsys, monkeypatch):
+    # the printed flags, seed resolved, reproduce the file without the environment
+    monkeypatch.setenv("CHAOSCTL_SEED", "5")
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    args_line = next(l for l in out.splitlines() if l.startswith("# args: "))
+    assert args_line.endswith(" --seed 5")
+    monkeypatch.delenv("CHAOSCTL_SEED")
+    rc, out2, _ = run_cli(args_line.removeprefix("# args: ").split(), capsys)
+    assert rc == 0
+    assert out2 == out
+
+
+def test_repro_out_file(tmp_path, capsys):
+    path = tmp_path / "fig4a.csv"
+    rc, out, _ = run_cli(["repro", "fig4a", "--seed", "3"], capsys)
+    assert rc == 0
+    assert cli.run_command(["repro", "fig4a", "--seed", "3", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
+
+
 def test_repro_round_trip(tmp_path, capsys):
     rc, out, _ = run_cli(["repro", "fig3d"], capsys)
     assert rc == 0

@@ -1,6 +1,8 @@
 import math
+from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chaosctl import (
     Constant,
@@ -15,11 +17,12 @@ from chaosctl import (
     henon,
     map_step,
     next_rand,
+    noise_pairs,
     scramble,
     stream_for_trial,
     vmtoc_step,
 )
-from chaosctl.control import bernoulli_pm1, control_at_step, uniform_m1p1
+from chaosctl.control import bernoulli_pm1, control_at_step, sample_noise, uniform_m1p1
 
 M64 = (1 << 64) - 1
 
@@ -80,6 +83,19 @@ def test_trial_streams_match_contract_and_differ():
         assert stream_for_trial(seed, k).s == scramble(v)
     states = {stream_for_trial(seed, k).s for k in range(100)}
     assert len(states) == 100
+
+
+@given(
+    s=st.integers(0, M64),
+    dist1=st.sampled_from(list(NoiseDist)),
+    dist2=st.sampled_from(list(NoiseDist)),
+)
+def test_noise_pairs_flatten_to_next_rand_sequence(s, dist1, dist2):
+    state = RngState(s)
+    for chi1, chi2 in islice(noise_pairs(s, dist1, dist2), 50):
+        state, z1 = next_rand(state)
+        state, z2 = next_rand(state)
+        assert (chi1, chi2) == (sample_noise(dist1, z1), sample_noise(dist2, z2))
 
 
 def test_channel_validation():

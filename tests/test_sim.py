@@ -2,6 +2,7 @@ import math
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from chaosctl import (
     Bounded,
@@ -36,12 +37,16 @@ from chaosctl import (
     lln_average,
     lozi,
     mc_convergence,
+    next_rand,
     norm_threshold,
     run_trajectory,
+    stream_for_trial,
     vec_norm,
+    vmtoc_step,
     wilson_interval,
 )
-from chaosctl.stability import mc_log_nu
+from chaosctl.control import control_at_step, sample_noise
+from chaosctl.stability import NuModel, mc_log_nu
 
 PLUS = Branch.PLUS
 
@@ -122,24 +127,44 @@ def test_sequence_schedule_cycles(henon_std):
     assert traj.controls[2] == (0.7, 0.0)
 
 
-def test_engine_matches_control_step_composition(henon_std):
-    # the engine must reproduce control_at_step + vmtoc_step bit for bit
-    from chaosctl import vmtoc_step
-    from chaosctl.control import control_at_step, stream_for_trial
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_pair = st.tuples(_unit, _unit)
+_channel = st.builds(
+    ControlChannel,
+    _unit,
+    st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+    st.sampled_from(list(NoiseDist)),
+)
+_schedules = st.one_of(
+    st.builds(Constant, _unit, _unit),
+    st.builds(Sequence, st.lists(_pair, min_size=1, max_size=5).map(tuple)),
+    st.builds(Stochastic, _channel, _channel),
+)
 
-    cfg = SimConfig(initial=Point2(0.3, 0.1), steps=900, seed=11)
-    sched = Stochastic(
-        ControlChannel(0.44, 0.3), ControlChannel(0.2, 0.1, NoiseDist.UNIFORM_M1P1)
-    )
-    traj = run_trajectory(henon_std, PLUS, sched, cfg)
-    star = fixed_point(henon_std, PLUS)
-    rng = stream_for_trial(11, 0)
-    p = Point2(0.3, 0.1)
+
+@settings(deadline=None)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    schedule=_schedules,
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    steps=st.integers(1, 120),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps, seed):
+    # the engine must reproduce control_at_step + vmtoc_step bit for bit
+    cfg = SimConfig(initial=Point2(x0, y0), steps=steps, seed=seed,
+                    transient=0, record_tail=steps)
+    traj = run_trajectory(params, PLUS, schedule, cfg)
+    star = fixed_point(params, PLUS)
+    rng = stream_for_trial(seed, 0)
+    p = Point2(x0, y0)
+    assert len(traj.points) == traj.steps_run + 1
     for n, q in enumerate(traj.points[1:]):
-        rng, d1, d2 = control_at_step(sched, n, rng)
-        p = vmtoc_step(henon_std, star, d1, d2, p)
-        assert (p.x, p.y) == (q.x, q.y)
-        assert traj.controls[n] == (d1, d2)
+        rng, d1, d2 = control_at_step(schedule, n, rng)
+        p = vmtoc_step(params, star, d1, d2, p)
+        assert repr((p.x, p.y)) == repr((q.x, q.y))
+        assert repr(traj.controls[n]) == repr((d1, d2))
 
 
 def test_trajectory_determinism(henon_std):
@@ -162,7 +187,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(initial=Point2(0, 0), steps=2000, conv_tol=0.0)
     with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=2000, escape_bound=0.5)
+        SimConfig(initial=Point2(0, 0), steps=2000, record_tail=0)
 
 
 # --- tail classification -------------------------------------------------------
@@ -365,6 +390,43 @@ def test_geometric_decay_under_certified_contraction(lozi_std):
 
 
 # --- running log averages ---------------------------------------------------------
+
+def _reference_log_nu(model, n, seed):
+    """ln nu for n samples, drawn one word at a time with next_rand."""
+    rng = stream_for_trial(seed, 0)
+    out = []
+    for _ in range(n):
+        rng, z1 = next_rand(rng)
+        rng, z2 = next_rand(rng)
+        out.append(math.log(model.c + model.p * sample_noise(model.dist1, z1)
+                            + model.q * sample_noise(model.dist2, z2)))
+    return out
+
+
+_models = st.builds(
+    lambda c, fp, fq, d1, d2: NuModel(c, fp * c, fq * c, d1, d2, True),
+    st.floats(0.1, 3.0),
+    st.floats(-0.49, 0.49),
+    st.floats(-0.49, 0.49),
+    st.sampled_from(list(NoiseDist)),
+    st.sampled_from(list(NoiseDist)),
+)
+
+
+@settings(deadline=None)
+@given(model=_models, n=st.integers(1, 200), seed=st.integers(0, 2**64 - 1))
+def test_lln_and_mc_log_nu_match_next_rand_reference(model, n, seed):
+    vs = _reference_log_nu(model, n, seed)
+    total = total_sq = 0.0
+    running = []
+    for k, v in enumerate(vs, start=1):
+        total += v
+        total_sq += v * v
+        running.append(total / k)
+    assert lln_average(model, n, seed) == running
+    mean = total / n
+    assert mc_log_nu(model, n, seed) == (mean, math.sqrt(max(total_sq / n - mean * mean, 0.0)))
+
 
 def test_lln_degenerate_model(lozi_std):
     m = build_nu_model(lozi_std, PLUS, 0.0, NormKind.L1,

@@ -18,7 +18,6 @@ from chaosctl import (
     controlled_jacobian,
     controlled_lipschitz,
     expected_log_nu,
-    expected_log_rowmax,
     fixed_point,
     henon,
     induced_norm,
@@ -27,7 +26,6 @@ from chaosctl import (
     min_noise_for_stability,
     norm_threshold,
     per_row_control,
-    threshold_report,
     trace_det_stable,
 )
 from chaosctl.stability import mc_log_nu
@@ -145,15 +143,6 @@ def test_unstabilizable_when_second_row_too_large():
     params = lozi(1.4, 1.2)
     with pytest.raises(Unstabilizable):
         norm_threshold(params, PLUS, 0.05, 0.0, NormKind.LINF)
-
-
-def test_threshold_report():
-    rep = threshold_report(henon(), PLUS, 0.0)
-    assert rep.method == "trace-det"
-    assert rep.threshold == pytest.approx(0.51639, abs=1e-4)
-    rep = threshold_report(lozi(), PLUS, 0.0, R=0.01, norm=NormKind.L1)
-    assert rep.method == "norm-bound"
-    assert rep.norm is NormKind.L1
 
 
 # --- per-row control and worst-case noise safety -----------------------------
@@ -350,14 +339,6 @@ def test_explog_unknown_method():
     m = _reference_models()[0]
     with pytest.raises(DomainError):
         expected_log_nu(m, "romberg")
-
-
-def test_rowmax_diagnostic_runs():
-    v = expected_log_rowmax(
-        lozi(), PLUS, 0.0, ControlChannel(0.5, 0.45), ControlChannel(0.0),
-        samples=20_000,
-    )
-    assert math.isfinite(v)
 
 
 # --- smallest stabilizing noise amplitude ------------------------------------
