@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -225,6 +226,12 @@ _CANONICAL = {
 }
 
 
+#: Dash-led values that argparse reads as values, not options: its own
+#: negative-number pattern (Python 3.11).  Any other dash-led value, such as
+#: -1e-05, is written --flag=value, which every version reads as a value.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
 def _args_line(args) -> str:
     """The `# args:` comment: re-running these flags reproduces the file."""
     parts = ["# args:", args.command]
@@ -234,12 +241,31 @@ def _args_line(args) -> str:
             v = _fmt(v)
         elif isinstance(v, tuple):  # --alpha-range
             v = f"{_fmt(v[0])}:{_fmt(v[1])}:{v[2]}"
-        parts.append(f"--{dest.replace('_', '-')} {v}")
+        else:
+            v = str(v)
+        flag = f"--{dest.replace('_', '-')}"
+        if v.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(v):
+            parts.append(f"{flag}={v}")
+        else:
+            parts.append(f"{flag} {v}")
     return " ".join(parts)
 
 
+def _config(args, initial: Point2) -> SimConfig:
+    """SimConfig for --steps: a 200-point tail after a 500-step transient,
+    each cut to fit a shorter run, the tail first."""
+    tail = min(200, args.steps)
+    return SimConfig(
+        initial=initial,
+        steps=args.steps,
+        seed=_seed(args),
+        transient=min(500, args.steps - tail),
+        record_tail=tail,
+    )
+
+
 def _cmd_simulate(args) -> tuple[str, int]:
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
+    cfg = _config(args, Point2(args.x0, args.y0))
     traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
     lines = [
         _args_line(args),
@@ -254,7 +280,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
 
 def _cmd_bifurcation(args) -> tuple[str, int]:
     lo, hi, n_alpha = args.alpha_range
-    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=args.steps, seed=_seed(args))
+    cfg = _config(args, Point2(0.1, 0.1))
     res = bifurcation_sweep(
         _params(args),
         _branch(args),
@@ -273,12 +299,17 @@ def _cmd_bifurcation(args) -> tuple[str, int]:
         f"# escaped_cells: {res.escaped_cells}",
         "alpha,x",
     ]
-    lines.extend(f"{_fmt(alpha)},{_fmt(x)}" for alpha, x in res.points)
+    per_alpha = len(res.cells) // len(res.alphas)
+    for i, alpha in enumerate(res.alphas):
+        prefix = _fmt(alpha) + ","
+        for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]:
+            # tail values are floats already, so repr is _fmt
+            lines.extend([prefix + r for r in map(repr, xs or ())])
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_limitset(args) -> tuple[str, int]:
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
+    cfg = _config(args, Point2(args.x0, args.y0))
     pts = limit_set(
         _params(args),
         _branch(args),
@@ -329,7 +360,7 @@ def _cmd_minnoise(args) -> tuple[str, int]:
 
 
 def _cmd_montecarlo(args) -> tuple[str, int]:
-    cfg = SimConfig(initial=Point2(args.x0, args.y0), steps=args.steps, seed=_seed(args))
+    cfg = _config(args, Point2(args.x0, args.y0))
     rep = mc_convergence(
         _params(args),
         _branch(args),

@@ -3,8 +3,15 @@
 Single controlled runs with tail classification, bifurcation sweeps, limit
 sets, Monte Carlo convergence probabilities, and law-of-large-numbers
 diagnostics.  Every experiment decomposes into independent tasks with
-pre-assigned noise streams and aggregates results by task index, so output
-is bit-identical for any worker count, including serial execution.
+pre-assigned noise streams and aggregates results by task index.  Batches
+run serially by default; `threads` > 1 opts into a thread pool, and the
+output is identical either way.
+
+One engine loop, `_run_raw`, serves every experiment.  It returns raw
+(x, y) tuples; only `run_trajectory` builds `Point2` points and classifies
+the tail, while sweep cells and Monte Carlo trials read just the online
+outcome.  A run under a constant control pair stops once its state repeats
+bit for bit and replays the cycle, with identical output.
 """
 
 from __future__ import annotations
@@ -237,8 +244,21 @@ def _run_raw(
     cfg: SimConfig,
     rng_s: int,
     record: str,
-) -> Trajectory:
-    """Engine core.  Keeps state in scalars; arithmetic matches vmtoc_step."""
+) -> tuple[Seq[tuple[float, float]], Seq[tuple[float, float]], Optional[Outcome], int]:
+    """Engine core: (states, controls, online outcome or None, steps run).
+
+    Keeps state in scalars; arithmetic matches vmtoc_step.  States are raw
+    (x, y) tuples, recorded as `Trajectory.points` describes.  The online
+    outcome is Escaped or Converged; None means the tail is still to be
+    classified.
+
+    Under a constant control pair the next state is a pure function of the
+    current one, so once a state repeats bit for bit the rest of the run is
+    known.  Brent's cycle detection (Brent 1980, BIT 20:176-184) keeps one
+    saved state, moved to the current one at steps 0, 1, 3, 7, ...; a cycle
+    whose period fits in record_tail ends the loop, and the remaining steps
+    are replayed from the recorded cycle.
+    """
     henon = params.kind is MapKind.HENON
     a, b = params.a, params.b
     tx, ty = target.x, target.y
@@ -271,13 +291,36 @@ def _run_raw(
         rec = [(x, y)]
     controls: deque | list = deque(maxlen=cfg.record_tail) if tail_mode else []
 
+    # Brent's saved state and its step; NaN never compares equal.
+    sx = sy = math.nan
+    saved_n = 0
+    save_at = 1
+    period = 0
     outcome: Optional[Outcome] = None
     in_tol = 0
     n = 0
     for n in range(1, cfg.steps + 1):
-        if sequence:
+        if constant:
+            # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
+            # signs of zero are compared too.
+            if (
+                x == sx
+                and y == sy
+                and math.copysign(1.0, x) == math.copysign(1.0, sx)
+                and math.copysign(1.0, y) == math.copysign(1.0, sy)
+            ):
+                period = n - 1 - saved_n
+                if period <= cfg.record_tail:
+                    break
+                period = 0
+                sx = sy = math.nan  # the shortest period is too long: stop looking
+                save_at = 0
+            if n == save_at:
+                sx, sy, saved_n = x, y, n - 1
+                save_at = 2 * n
+        elif sequence:
             d1, d2 = pairs[(n - 1) % n_pairs]
-        elif not constant:
+        else:
             chi1, chi2 = next(noise)
             d1 = a1 + l1 * chi1
             d2 = a2 + l2 * chi2
@@ -301,14 +344,45 @@ def _run_raw(
         else:
             in_tol = 0
 
-    if outcome is None:
-        outcome = _classify_points(list(rec), n, target, cfg)
-    return Trajectory(
-        points=[Point2(px, py) for px, py in rec],
-        controls=list(controls),
-        outcome=outcome,
-        steps_run=n,
-    )
+    if period:
+        # States done-period+1..done form the cycle; state m > done is
+        # cycle[(m - done - 1) % period].  Within period + CONV_WINDOW more
+        # steps the in_tol count either reaches CONV_WINDOW or never will.
+        done = n - 1
+        cycle = list(rec)[-period:]
+        n = cfg.steps
+        for m in range(done + 1, min(n, done + period + CONV_WINDOW) + 1):
+            cx, cy = cycle[(m - done - 1) % period]
+            if abs(cx - tx) < conv_tol and abs(cy - ty) < conv_tol:
+                in_tol += 1
+                if in_tol >= CONV_WINDOW:
+                    outcome = Converged(m)
+                    n = m
+                    break
+            else:
+                in_tol = 0
+        first = max(done + 1, n - cfg.record_tail + 1) if tail_mode else done + 1
+        rec.extend(cycle[(m - done - 1) % period] for m in range(first, n + 1))
+        controls.extend([(d1, d2)] * (n + 1 - first))
+    return rec, controls, outcome, n
+
+
+def _tail_converged(
+    rec: Seq[tuple[float, float]], steps_run: int, target: Point2, cfg: SimConfig
+) -> bool:
+    """Whether `_classify_points` calls a tail Converged that did not converge online.
+
+    It cannot when record_tail >= CONV_WINDOW: the last CONV_WINDOW states
+    were not all within conv_tol, and its period-1 branch needs the whole
+    tail within conv_tol.  Shorter tails are classified only if every state
+    is within conv_tol.
+    """
+    if cfg.record_tail >= CONV_WINDOW:
+        return False
+    tx, ty, tol = target.x, target.y, cfg.conv_tol
+    if not all(abs(x - tx) < tol and abs(y - ty) < tol for x, y in rec):
+        return False
+    return isinstance(_classify_points(list(rec), steps_run, target, cfg), Converged)
 
 
 def run_trajectory(
@@ -329,7 +403,18 @@ def run_trajectory(
     if record not in ("all", "tail"):
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
     target = fixed_point(params, branch)
-    return _run_raw(params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record)
+    rec, controls, outcome, n = _run_raw(
+        params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record
+    )
+    pts = list(rec)
+    if outcome is None:
+        outcome = _classify_points(pts, n, target, cfg)
+    return Trajectory(
+        points=[Point2(px, py) for px, py in pts],
+        controls=list(controls),
+        outcome=outcome,
+        steps_run=n,
+    )
 
 
 def _cell_tail(
@@ -339,27 +424,28 @@ def _cell_tail(
     cfg: SimConfig,
     init: Point2,
     stream: int,
-) -> Optional[list[Point2]]:
-    """Recorded tail of one finished cell started at init, or None if it escaped.
+) -> Optional[list[tuple[float, float]]]:
+    """Recorded (x, y) tail of one finished cell started at init, or None if it escaped.
 
     A converged cell repeats its final state record_tail times: that is its
     limit set.
     """
-    traj = _run_raw(
+    rec, _, outcome, n = _run_raw(
         params, target, schedule, replace(cfg, initial=init),
         stream_for_trial(cfg.seed, stream).s, "tail",
     )
-    if isinstance(traj.outcome, Escaped):
+    if isinstance(outcome, Escaped):
         return None
-    if isinstance(traj.outcome, Converged):
-        return [traj.points[-1]] * cfg.record_tail
-    return traj.points
+    if isinstance(outcome, Converged) or _tail_converged(rec, n, target, cfg):
+        return [rec[-1]] * cfg.record_tail
+    return list(rec)
 
 
 def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[int]) -> list:
+    """fn(0), ..., fn(n_items - 1); serial unless threads > 1 is asked for."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if n_items <= 1 or threads == 1:
+    if n_items <= 1 or threads is None or threads == 1:
         return [fn(i) for i in range(n_items)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_items)))
@@ -369,14 +455,15 @@ def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[i
 class SweepResult:
     """Bifurcation sweep output.
 
-    points holds (alpha, x) pairs ordered by (alpha index, initial index,
-    step); escaped cells contribute no points.  spread[i] is the (min, max)
+    cells holds one list of tail x values per cell, or None for a cell that
+    escaped, ordered by (alpha index, initial index); cells[i * n_inits + j]
+    started at initial state j under alphas[i].  spread[i] is the (min, max)
     x over the last COLLAPSE_WINDOW tail points of every cell at alphas[i],
     or None when every cell escaped.
     """
 
     alphas: tuple[float, ...]
-    points: list[tuple[float, float]]
+    cells: list[Optional[list[float]]]
     escaped_cells: int
     spread: tuple[Optional[tuple[float, float]], ...] = field(default=())
 
@@ -409,9 +496,9 @@ def bifurcation_sweep(
 
     For each of n_alpha evenly spaced alphas and each initial state, runs one
     trajectory (cell stream = alpha index * len(inits) + initial index) and
-    emits (alpha, x) for the record_tail post-transient states.  Cells that
-    converged early emit their final state repeatedly -- that is their limit
-    set; escaped cells emit nothing and are counted.
+    keeps x of its record_tail post-transient states.  Cells that converged
+    early keep their final state repeatedly -- that is their limit set;
+    escaped cells keep nothing and are counted.
     """
     if not 0.0 <= alpha_lo < alpha_hi < 1.0:
         raise ValueError(f"need 0 <= lo < hi < 1, got {alpha_lo}, {alpha_hi}")
@@ -429,28 +516,25 @@ def bifurcation_sweep(
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
         pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
-        return None if pts is None else [p.x for p in pts]
+        return None if pts is None else [x for x, _ in pts]
 
     cells = _parallel_map(run_cell, n_alpha * n_inits, threads)
-    points: list[tuple[float, float]] = []
     spread: list[Optional[tuple[float, float]]] = []
     escaped = 0
-    for i, alpha in enumerate(alphas):
+    for i in range(n_alpha):
         lo = math.inf
         hi = -math.inf
-        for j in range(n_inits):
-            xs = cells[i * n_inits + j]
+        for xs in cells[i * n_inits : (i + 1) * n_inits]:
             if xs is None:
                 escaped += 1
                 continue
-            points.extend((alpha, x) for x in xs)
             for x in xs[-COLLAPSE_WINDOW:]:
                 if x < lo:
                     lo = x
                 if x > hi:
                     hi = x
         spread.append((lo, hi) if lo <= hi else None)
-    return SweepResult(alphas, points, escaped, tuple(spread))
+    return SweepResult(alphas, cells, escaped, tuple(spread))
 
 
 def last_collapse_alpha(result: SweepResult, tol: float = COLLAPSE_TOL) -> Optional[float]:
@@ -489,12 +573,12 @@ def limit_set(
         raise ValueError("need at least one initial state")
     target = fixed_point(params, branch)
 
-    def run_one(j: int) -> Optional[list[Point2]]:
+    def run_one(j: int) -> Optional[list[tuple[float, float]]]:
         return _cell_tail(params, target, schedule, cfg, inits[j], j)
 
     out: list[Point2] = []
     for pts in _parallel_map(run_one, len(inits), threads):
-        out.extend(pts or ())
+        out.extend(Point2(x, y) for x, y in pts or ())
     return out
 
 
@@ -531,10 +615,12 @@ def mc_convergence(
             )
         trial_cfg = replace(cfg, initial=init)
         try:
-            traj = _run_raw(params, target, schedule, trial_cfg, rng.s, "tail")
+            rec, _, outcome, n = _run_raw(params, target, schedule, trial_cfg, rng.s, "tail")
+            return isinstance(outcome, Converged) or (
+                outcome is None and _tail_converged(rec, n, target, cfg)
+            )
         except (ValueError, ArithmeticError):
             return False
-        return isinstance(traj.outcome, Converged)
 
     flags = _parallel_map(run_one, trials, threads)
     converged = sum(flags)

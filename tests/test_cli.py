@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,59 @@ def test_args_line_round_trip(argv, capsys, monkeypatch):
     assert args_line.endswith(" --seed 5")
     monkeypatch.delenv("CHAOSCTL_SEED")
     rc, out2, _ = run_cli(args_line.removeprefix("# args: ").split(), capsys)
+    assert rc == 0
+    assert out2 == out
+
+
+def _rerun_args_line(out, capsys):
+    args_line = next(l for l in out.splitlines() if l.startswith("# args: "))
+    return run_cli(args_line.removeprefix("# args: ").split(), capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--steps", "800"],
+    ["limitset"],
+    ["montecarlo", "--trials", "3"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("flag,value", [
+    ("--x0", "-0.00001"), ("--y0", "-2.5e-7"), ("--x0", "-1e-300"), ("--y0", "-1.5e+16"),
+])
+def test_args_line_negative_exponent_round_trip(command, flag, value, capsys):
+    # argparse reads "-1e-05" as an option unless it is written --x0=-1e-05
+    argv = command + ["--map", "henon", "--alpha1", "0.6", "--x0", "0.3", "--y0", "0.1",
+                      f"{flag}={value}"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert f"{flag}={float(value)!r}" in out
+    rc, out2, _ = _rerun_args_line(out, capsys)
+    assert rc == 0
+    assert out2 == out
+
+
+def test_args_line_keeps_plain_negative_numbers(capsys):
+    rc, out, _ = run_cli(["repro", "fig5a"], capsys)
+    assert rc == 0
+    assert " --x0 -10.0 --y0 -15.0 " in out
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["limitset"],
+    ["montecarlo", "--trials", "3"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("steps", ["5", "600"])
+def test_short_runs(command, steps, capsys):
+    # the tail and the transient shrink to fit runs shorter than 700 steps
+    argv = command + ["--map", "lozi", "--alpha1", "0.4", "--ell1", "0.1",
+                      "--x0", "0.3", "--y0", "0.1", "--steps", steps]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    assert rows
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",") if v)
+    if command[0] == "simulate":
+        assert len(rows) == int(steps) + 1
+    rc, out2, _ = _rerun_args_line(out, capsys)
     assert rc == 0
     assert out2 == out
 

@@ -45,7 +45,9 @@ from chaosctl import (
     vmtoc_step,
     wilson_interval,
 )
+from chaosctl import cli, sim
 from chaosctl.control import control_at_step, sample_noise
+from chaosctl.sim import CONV_WINDOW, ESCAPE_BOUND, _cell_tail, _classify_points
 from chaosctl.stability import NuModel, mc_log_nu
 
 PLUS = Branch.PLUS
@@ -167,6 +169,155 @@ def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps
         assert repr(traj.controls[n]) == repr((d1, d2))
 
 
+def _reference_run(params, branch, schedule, cfg, record):
+    """The engine's contract, one control_at_step + vmtoc_step at a time."""
+    star = fixed_point(params, branch)
+    rng = stream_for_trial(cfg.seed, 0)
+    p = cfg.initial
+    points, controls = [(p.x, p.y)], []
+    outcome, in_tol, n = None, 0, 0
+    for n in range(1, cfg.steps + 1):
+        rng, d1, d2 = control_at_step(schedule, n - 1, rng)
+        p = vmtoc_step(params, star, d1, d2, p)
+        points.append((p.x, p.y))
+        controls.append((d1, d2))
+        if not (abs(p.x) <= ESCAPE_BOUND and abs(p.y) <= ESCAPE_BOUND):
+            outcome = Escaped(n)
+            break
+        if max(abs(p.x - star.x), abs(p.y - star.y)) < cfg.conv_tol:
+            in_tol += 1
+            if in_tol >= CONV_WINDOW:
+                outcome = Converged(n)
+                break
+        else:
+            in_tol = 0
+    if record == "tail":
+        points = points[1:][-cfg.record_tail:]
+        controls = controls[-cfg.record_tail:]
+    if outcome is None:
+        outcome = _classify_points(points, n, star, cfg)
+    return points, controls, outcome, n
+
+
+def _bitwise_fixed_point(params, d1, d2):
+    star = fixed_point(params, PLUS)
+    p = Point2(0.1, 0.1)
+    for _ in range(400):
+        p = vmtoc_step(params, star, d1, d2, p)
+    return p
+
+
+#: Constant-schedule runs that reach a bitwise cycle: name -> (params,
+#: branch, (d1, d2), initial state, conv_tol).  test_cycle_cases_cover
+#: checks that each shows what its name says.
+_CYCLE_CASES = {
+    "period-2": (henon(), PLUS, (0.35, 0.0), Point2(0.1, 0.1), 1e-9),
+    "period-4": (henon(), PLUS, (0.2, 0.0), Point2(0.1, 0.1), 1e-9),
+    "period-4-lozi": (lozi(), PLUS, (0.2, 0.5), Point2(0.1, 0.1), 1e-9),
+    # starts on a bitwise fixed point inside conv_tol: the cycle is found at
+    # step 1, and the replay must count the window to Converged(50)
+    "converged-in-window": (
+        lozi(), PLUS, (0.6, 0.5), _bitwise_fixed_point(lozi(), 0.6, 0.5), 1e-9,
+    ),
+    # state 1 is (0.0, -0.0), equal to the initial (-0.0, 0.0) under `==`;
+    # its image (0.0, 0.0) differs from state 1 in the sign of y
+    "signed-zero": (
+        lozi(1.5, 0.5), Branch.MINUS, (0.5, 0.0), Point2(-0.0, 0.0), 1e-9,
+    ),
+}
+
+
+def _first_repeat_period(points):
+    """Period of the first bitwise repeat of a state, or None."""
+    seen = {}
+    for n, (x, y) in enumerate(points):
+        key = (x.hex(), y.hex())
+        if key in seen:
+            return n - seen[key]
+        seen[key] = n
+    return None
+
+
+def test_cycle_cases_cover():
+    runs = {}
+    for name, (params, branch, (d1, d2), init, tol) in _CYCLE_CASES.items():
+        cfg = SimConfig(initial=init, steps=400, conv_tol=tol, transient=0, record_tail=200)
+        runs[name] = _reference_run(params, branch, Constant(d1, d2), cfg, "all")
+    for name, period in (("period-2", 2), ("period-4", 4), ("period-4-lozi", 4)):
+        points, _, outcome, n = runs[name]
+        assert outcome == Periodic(period)
+        assert _first_repeat_period(points) == period
+    points, _, outcome, n = runs["converged-in-window"]
+    assert points[1] == points[0] and outcome == Converged(CONV_WINDOW)
+    points, _, outcome, n = runs["signed-zero"]
+    assert points[0] == points[1] and repr(points[0]) != repr(points[1])
+    assert repr(points[2]) == "(0.0, 0.0)" and outcome == Periodic(1)
+
+
+@st.composite
+def _cycle_runs(draw):
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_CYCLE_CASES)))
+        params, branch, (d1, d2), init, tol = _CYCLE_CASES[name]
+    else:
+        params = draw(st.sampled_from([henon(), lozi()]))
+        branch = PLUS
+        d1, d2 = draw(_unit), draw(st.sampled_from([0.0, 0.5, 0.9]))
+        init = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        tol = draw(st.sampled_from([1e-9, 1e-15, 1e-3]))
+    steps = draw(st.integers(1, 600))
+    tail = draw(st.integers(1, steps))
+    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, transient=steps - tail,
+                    record_tail=tail)
+    return params, branch, Constant(d1, d2), cfg, draw(st.sampled_from(["all", "tail"]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(run=_cycle_runs())
+def test_cycle_exit_matches_step_reference(run):
+    params, branch, schedule, cfg, record = run
+    traj = run_trajectory(params, branch, schedule, cfg, record=record)
+    points, controls, outcome, n = _reference_run(params, branch, schedule, cfg, record)
+    assert repr([(p.x, p.y) for p in traj.points]) == repr(points)
+    assert repr(traj.controls) == repr(controls)
+    assert traj.outcome == outcome
+    assert traj.steps_run == n
+
+
+@settings(deadline=None)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    schedule=st.one_of(
+        st.builds(Constant, st.floats(0.3, 0.7), st.sampled_from([0.0, 0.5])),
+        st.builds(Stochastic, _channel, _channel),
+    ),
+    offset=st.sampled_from([0.0, 1e-6, 1e-3, 0.2]),
+    tol=st.sampled_from([1e-9, 1e-4, 1e-2]),
+    steps=st.integers(1, 150),
+    tail=st.integers(1, 80),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_raw_converged_decision_matches_classify_tail(
+    params, schedule, offset, tol, steps, tail, seed
+):
+    # sweep cells and Monte Carlo trials skip Trajectory and classify_tail
+    star = fixed_point(params, PLUS)
+    tail = min(tail, steps)
+    cfg = SimConfig(initial=Point2(star.x + offset, star.y - offset), steps=steps,
+                    seed=seed, conv_tol=tol, transient=steps - tail, record_tail=tail)
+    traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
+    outcome = classify_tail(traj, star, cfg)
+    cell = _cell_tail(params, star, schedule, cfg, cfg.initial, 0)
+    if isinstance(outcome, Escaped):
+        assert cell is None
+    elif isinstance(outcome, Converged):
+        assert cell == [(traj.points[-1].x, traj.points[-1].y)] * tail
+    else:
+        assert cell == [(p.x, p.y) for p in traj.points]
+    rep = mc_convergence(params, PLUS, schedule, PointSet((cfg.initial,)), 1, cfg)
+    assert rep.converged == isinstance(outcome, Converged)
+
+
 def test_trajectory_determinism(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=1500, seed=9)
     sched = Stochastic(
@@ -243,7 +394,8 @@ def test_bifurcation_collapse_narrow(henon_std):
     got = last_collapse_alpha(res)
     assert got == pytest.approx(0.5164, abs=5e-3)
     assert res.escaped_cells == 0
-    assert all(0.49 <= a <= 0.55 for a, _ in res.points)
+    assert len(res.cells) == 60 * 8
+    assert all(len(xs) == cfg.record_tail for xs in res.cells)
 
 
 def test_bifurcation_noise_lowers_collapse(lozi_std):
@@ -270,8 +422,59 @@ def test_bifurcation_threads_bit_identical(henon_std):
         henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, grid, cfg,
         ell1=0.1, threads=4,
     )
-    assert serial.points == parallel.points
+    assert serial.cells == parallel.cells
     assert serial.spread == parallel.spread
+
+
+def test_threads_default_is_serial(henon_std, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the thread pool ran without threads > 1")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
+    bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 3,
+                      default_init_grid(2), cfg, ell1=0.1)
+    mc_convergence(henon_std, PLUS, Constant(0.6), PointSet((Point2(0.3, 0.1),)), 3, cfg)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    kind=st.sampled_from(["henon", "lozi"]),
+    lo=st.floats(0.0, 0.6),
+    width=st.floats(0.01, 0.3),
+    n_alpha=st.integers(2, 5),
+    n_inits=st.integers(1, 3),
+    ell1=st.sampled_from([0.0, 0.1, 0.3]),
+    steps=st.integers(60, 800),
+)
+def test_sweep_cells_match_spread_collapse_and_csv(kind, lo, width, n_alpha, n_inits,
+                                                   ell1, steps):
+    argv = ["bifurcation", "--map", kind, "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}",
+            "--inits", str(n_inits), "--ell1", repr(ell1), "--steps", str(steps)]
+    args = cli._parse(argv)
+    res = bifurcation_sweep(
+        cli._params(args), PLUS, ControlChannel(0.0), lo, lo + width, n_alpha,
+        default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)), ell1=ell1,
+    )
+    assert len(res.cells) == n_alpha * n_inits
+    assert res.escaped_cells == sum(xs is None for xs in res.cells)
+    spread = []
+    for i in range(n_alpha):
+        tails = [x for xs in res.cells[i * n_inits:(i + 1) * n_inits] if xs
+                 for x in xs[-50:]]
+        spread.append((min(tails), max(tails)) if tails else None)
+    assert res.spread == tuple(spread)
+    collapsed = [s is not None and s[1] - s[0] < sim.COLLAPSE_TOL for s in spread]
+    want = None
+    if collapsed[-1]:
+        i = len(collapsed)
+        while i > 0 and collapsed[i - 1]:
+            i -= 1
+        want = res.alphas[i]
+    assert last_collapse_alpha(res) == want
+    rows = cli.render(argv).splitlines()[3:]
+    assert rows == [f"{res.alphas[k // n_inits]!r},{x!r}"
+                    for k, xs in enumerate(res.cells) for x in xs or ()]
 
 
 def test_bifurcation_input_validation(henon_std):
