@@ -12,7 +12,8 @@ byte-for-byte.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
 environment variable overrides it and an explicit --seed flag wins over both.
 
 Exit status: 0 success, 1 domain/analysis errors or an --out file that
-cannot be written, 2 usage errors (including a non-finite --x0/--y0).
+cannot be written, 2 usage errors (including a non-finite --x0/--y0 and a
+--seed or CHAOSCTL_SEED outside [0, 2^64)).
 """
 
 from __future__ import annotations
@@ -57,12 +58,23 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("CHAOSCTL_SEED", "0")
+def _seed_value(text: str) -> int:
+    """A seed: an integer in [0, 2^64).  Streams keep only the low 64 bits of
+    a seed, so a wider range would give one stream under two `# args:` lines."""
     try:
-        return int(raw)
+        v = int(text)
     except ValueError:
-        print(f"chaosctl: CHAOSCTL_SEED must be an integer, got {raw!r}", file=sys.stderr)
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if not 0 <= v < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {text!r}")
+    return v
+
+
+def _env_seed() -> int:
+    try:
+        return _seed_value(os.environ.get("CHAOSCTL_SEED", "0"))
+    except argparse.ArgumentTypeError as e:
+        print(f"chaosctl: CHAOSCTL_SEED {e}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -108,7 +120,7 @@ def _add_init_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_value, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--threads", type=int, default=None)
 

@@ -20,13 +20,24 @@ Monte Carlo work uses one independent stream per trial:
 
 where scramble(v) is the output of a single SplitMix64 step applied to v.
 RNG state is a value passed explicitly; there is no shared mutable state.
+
+That contract is all a consumer sees.  `noise_pairs`, the sampler every
+stochastic consumer uses, generates the draws word-parallel: a chunk of them
+is one int with a 128-bit lane per draw, and each step of the recurrence
+above runs once on the whole chunk.  The one-word-at-a-time `_sm64_next`
+(with `next_rand`, `sample_noise` and `control_at_step`) is the scalar
+reference the tests hold it to.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from itertools import chain
+from operator import sub
 from typing import Iterator, Union
 
 from .maps import MapParams, Point2, map_step
@@ -108,25 +119,92 @@ def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[fl
     """Endless (chi_1, chi_2) samples from the raw SplitMix64 state s.
 
     This is the draw discipline of every stochastic consumer: two draws per
-    step or sample, channel 1 first.  The generator step and the sample maps
-    are written out inline (they must match `_sm64_next`, `bernoulli_pm1` and
-    `uniform_m1p1`, which `control_at_step` uses as the reference) so that a
-    per-step consumer pays one generator resumption and no calls.
+    step or sample, channel 1 first.  The draws are computed a chunk at a time
+    by `_noise_chunks` and the pairs come out of C-level iterators, so a
+    per-step consumer pays no generator resumption and no calls.  Every value
+    equals the one `control_at_step` derives from `_sm64_next`, `bernoulli_pm1`
+    and `uniform_m1p1`, the scalar reference.
     """
-    bern1 = dist1 is NoiseDist.BERNOULLI_PM1
-    bern2 = dist2 is NoiseDist.BERNOULLI_PM1
+    return chain.from_iterable(_noise_chunks(s, dist1, dist2))
+
+
+# Chunk sizes in pairs: the first chunk, doubled up to the cap, so a run that
+# stops early has drawn at most about twice the pairs it used.
+_FIRST_CHUNK = 32
+_CHUNK_CAP = 1024
+# Indexed by the top byte of an output word z, i.e. by bit 63 of z.
+_PM1 = (-1.0,) * 128 + (1.0,) * 128
+_ONE_OR_TWO = (2.0,) * 128 + (1.0,) * 128
+
+
+@cache
+def _lanes(pairs: int) -> tuple[int, int, int, int, int]:
+    """Lane constants for a chunk of `pairs` pairs: 2 * pairs 128-bit lanes.
+
+    Returns (ones, ramp, low, mantissa, exponent): every lane 1; lane j holds
+    (j + 1) * GOLDEN; every lane 2^64 - 1; every lane 2^52 - 1; every lane the
+    exponent bits of 1.0.  Built once per chunk size (six sizes, about 340 KB
+    in all).
+    """
+
+    def lanes(words) -> int:
+        return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+
+    n = 2 * pairs
+    return (
+        lanes([1] * n),
+        lanes(range(1, n + 1)) * _GOLDEN,
+        lanes([_M64] * n),
+        lanes([(1 << 52) - 1] * n),
+        lanes([0x3FF << 52] * n),
+    )
+
+
+def _noise_chunks(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[zip]:
+    """Successive chunks of noise_pairs, each a zip over two channel iterators.
+
+    SplitMix64's state is a Weyl sequence, so draw j of a chunk that starts
+    from state s has state s + (j + 1) * GOLDEN: a whole chunk is one int
+    with draw j in lane j, its bits 128 j to 128 j + 127, and each
+    operation of the output step runs once on the whole int.  Every lane is
+    masked back to 64 bits before each multiply, so a 64 x 64-bit product
+    fits its lane, and after it, so no bits shifted in from the lane's upper
+    half or the next lane reach the low 64 bits.
+
+    Bernoulli samples come from the little-endian bytes: the top byte of
+    each word (bit 63) through `_PM1`.  Uniform samples: for w = z >> 11,
+    uniform_m1p1(z) = w * 2^-52 - 1 = f - 2 + (w >> 52), where
+    f = 1 + (w mod 2^52) * 2^-52 in [1, 2) is the double with the exponent
+    bits of 1.0 and mantissa w mod 2^52; f - 1 and f - 2 are exact
+    (Sterbenz), so the sample is the reference value bit for bit.  The f are
+    read as native doubles, so their bytes are laid out in host order, and on
+    a big-endian host the view is reversed to put lane 0's low word first.
+    """
+    uniform = NoiseDist.UNIFORM_M1P1 in (dist1, dist2)
+    pairs = _FIRST_CHUNK
     while True:
-        s = (s + _GOLDEN) & _M64
-        z = ((s ^ (s >> 30)) * _MIX1) & _M64
-        z = ((z ^ (z >> 27)) * _MIX2) & _M64
+        ones, ramp, low, mantissa, exponent = _lanes(pairs)
+        z = (s * ones + ramp) & low
+        z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+        z = ((z ^ (z >> 27)) & low) * _MIX2 & low
         z ^= z >> 31
-        chi1 = (1.0 if z >> 63 else -1.0) if bern1 else 2.0 * ((z >> 11) * _U53) - 1.0
-        s = (s + _GOLDEN) & _M64
-        z = ((s ^ (s >> 30)) * _MIX1) & _M64
-        z = ((z ^ (z >> 27)) * _MIX2) & _M64
-        z ^= z >> 31
-        chi2 = (1.0 if z >> 63 else -1.0) if bern2 else 2.0 * ((z >> 11) * _U53) - 1.0
-        yield chi1, chi2
+        size = 32 * pairs
+        raw = z.to_bytes(size, "little")
+        if uniform:
+            f_bits = ((z >> 11) & mantissa) | exponent
+            f = memoryview(f_bits.to_bytes(size, sys.byteorder)).cast("d")
+            if sys.byteorder == "big":
+                f = f[::-1]  # lane 0 last, each lane's low word second
+        chis = []
+        for lane, dist in ((0, dist1), (1, dist2)):
+            top = raw[16 * lane + 7 :: 32]
+            if dist is NoiseDist.BERNOULLI_PM1:
+                chis.append(map(_PM1.__getitem__, top))
+            else:
+                chis.append(map(sub, f[2 * lane :: 4], map(_ONE_OR_TWO.__getitem__, top)))
+        yield zip(*chis)
+        s = (s + 2 * pairs * _GOLDEN) & _M64
+        pairs = min(2 * pairs, _CHUNK_CAP)
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,36 @@ def test_env_seed_invalid(capsys, monkeypatch):
     capsys.readouterr()
 
 
+_SEED_ARGV = ["simulate", "--map", "henon", "--alpha1", "0.44", "--ell1", "0.3",
+              "--x0", "0.3", "--y0", "0.1", "--steps", "800"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_is_usage_error(seed, capsys, monkeypatch):
+    # a wider seed would alias one inside [0, 2^64) under another `# args:` line
+    rc, out, err = run_cli(_SEED_ARGV + [f"--seed={seed}"], capsys)
+    assert (rc, out) == (2, "")
+    assert f"argument --seed: must lie in [0, 2^64), got '{seed}'" in err
+    rc, out, err = run_cli(["repro", "fig3d", f"--seed={seed}"], capsys)
+    assert (rc, out) == (2, "")
+    monkeypatch.setenv("CHAOSCTL_SEED", seed)
+    with pytest.raises(SystemExit) as exc:
+        cli.run_command(_SEED_ARGV)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"chaosctl: CHAOSCTL_SEED must lie in [0, 2^64), got '{seed}'\n"
+
+
+def test_largest_seed_is_accepted(capsys, monkeypatch):
+    top = str(2**64 - 1)
+    rc, flag, _ = run_cli(_SEED_ARGV + ["--seed", top], capsys)
+    assert rc == 0 and f"--seed {top}\n" in flag
+    monkeypatch.setenv("CHAOSCTL_SEED", top)
+    rc, env, _ = run_cli(_SEED_ARGV, capsys)
+    assert (rc, env) == (0, flag)
+
+
 def test_verify_wiring_pass_and_fail(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.verify_mod, "run_all",

@@ -284,6 +284,44 @@ def test_cycle_exit_matches_step_reference(run):
     assert traj.steps_run == n
 
 
+# Means and amplitudes this small keep both maps bounded from these starts, so
+# a run takes every one of its steps.
+_quiet_channel = st.builds(
+    ControlChannel,
+    st.floats(0.02, 0.05),
+    st.floats(0.0, 0.02, exclude_min=True),
+    st.sampled_from(list(NoiseDist)),
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    ch1=_quiet_channel,
+    ch2=_quiet_channel,
+    x0=st.floats(0.2, 0.4),
+    y0=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, seed):
+    # 3100 steps draw 6200 words: every chunk size of noise_pairs and two
+    # chunks at its cap.
+    schedule = Stochastic(ch1, ch2)
+    cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed,
+                    transient=0, record_tail=3100)
+    traj = run_trajectory(params, PLUS, schedule, cfg, record="all")
+    points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "all")
+    assert traj.steps_run == n == 3100
+    assert (len(traj.points), len(traj.controls)) == (len(points), len(controls))
+    # item by item: a failing assert on two long reprs makes every shrink
+    # step diff them
+    for i, (p, q) in enumerate(zip(traj.points, points)):
+        assert repr((p.x, p.y)) == repr(q), i
+    for i, (got, want) in enumerate(zip(traj.controls, controls)):
+        assert repr(got) == repr(want), i
+    assert traj.outcome == outcome
+
+
 @settings(deadline=None)
 @given(
     params=st.sampled_from([henon(), lozi()]),
@@ -560,6 +598,18 @@ def test_mc_threads_deterministic(lozi_std):
     assert mc_convergence(*args, threads=1) == mc_convergence(*args, threads=8)
 
 
+@pytest.mark.parametrize("corner", [1e308, math.inf])
+def test_mc_extreme_box_corners_escape_without_error(corner):
+    # Overflow gives inf or NaN states, which the escape test catches.
+    cfg = SimConfig(initial=Point2(0.0, 0.0), steps=700, seed=0)
+    box = BoxSampler(-corner, corner, -corner, corner)
+    for params, schedule in (
+        (henon(), Constant(0.44)),
+        (lozi(), Stochastic(ControlChannel(0.5, 0.2, NoiseDist.UNIFORM_M1P1))),
+    ):
+        assert mc_convergence(params, PLUS, schedule, box, 20, cfg).fraction == 0.0
+
+
 def test_box_sampler_validation():
     with pytest.raises(ValueError):
         BoxSampler(1.0, -1.0, 0.0, 1.0)
@@ -617,7 +667,11 @@ _models = st.builds(
 
 
 @settings(deadline=None)
-@given(model=_models, n=st.integers(1, 200), seed=st.integers(0, 2**64 - 1))
+@given(
+    model=_models,
+    n=st.one_of(st.integers(1, 200), st.integers(2049, 3100)),  # > 2048: past the cap
+    seed=st.integers(0, 2**64 - 1),
+)
 def test_lln_and_mc_log_nu_match_next_rand_reference(model, n, seed):
     vs = _reference_log_nu(model, n, seed)
     total = total_sq = 0.0
