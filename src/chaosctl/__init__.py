@@ -68,8 +68,8 @@ from .sim import (
     Trajectory,
     bifurcation_sweep,
     classify_tail,
+    collapse_alpha,
     default_init_grid,
-    last_collapse_alpha,
     limit_set,
     lln_average,
     mc_convergence,

@@ -447,11 +447,12 @@ def render(argv: list[str]) -> str:
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit status."""
     try:
+        # Usage errors exit 2 from parsing, or from a handler that reads
+        # CHAOSCTL_SEED; either way they come back as the exit status.
         args = _parse(argv)
+        text, status = _HANDLERS[args.command](args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        text, status = _HANDLERS[args.command](args)
     except (DomainError, NoWindow, Unstabilizable, InvalidControl, ValueError) as e:
         print(f"chaosctl: {e}", file=sys.stderr)
         return 1

@@ -1,11 +1,14 @@
 """Trajectory engine and experiment harness.
 
-Single controlled runs with tail classification, bifurcation sweeps, limit
-sets, Monte Carlo convergence probabilities, and law-of-large-numbers
-diagnostics.  Every experiment decomposes into independent tasks with
-pre-assigned noise streams and aggregates results by task index.  Batches
-run serially by default; `threads` > 1 opts into a thread pool, and the
-output is identical either way.
+Single controlled runs with tail classification, bifurcation sweeps, the
+collapse point of a sweep's diagram, limit sets, Monte Carlo convergence
+probabilities, and law-of-large-numbers diagnostics.  Every experiment
+decomposes into independent tasks with pre-assigned noise streams and
+aggregates results by task index.  Batches run serially by default;
+`threads` > 1 opts into a thread pool, and the output is identical either
+way.  `collapse_alpha` runs the cells of `bifurcation_sweep` one alpha at a
+time from the top of the grid down and stops at the first alpha that has
+not collapsed.
 
 One engine loop, `_run_raw`, serves every experiment.  It returns raw
 (x, y) tuples; only `run_trajectory` builds `Point2` points and classifies
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence as Seq, Union
 
 from .control import (
@@ -457,15 +460,12 @@ class SweepResult:
 
     cells holds one list of tail x values per cell, or None for a cell that
     escaped, ordered by (alpha index, initial index); cells[i * n_inits + j]
-    started at initial state j under alphas[i].  spread[i] is the (min, max)
-    x over the last COLLAPSE_WINDOW tail points of every cell at alphas[i],
-    or None when every cell escaped.
+    started at initial state j under alphas[i].
     """
 
     alphas: tuple[float, ...]
     cells: list[Optional[list[float]]]
     escaped_cells: int
-    spread: tuple[Optional[tuple[float, float]], ...] = field(default=())
 
 
 def default_init_grid(n: int = 20) -> list[Point2]:
@@ -477,6 +477,44 @@ def default_init_grid(n: int = 20) -> list[Point2]:
     return [
         Point2(0.1 + 0.7 * j / (n - 1), 0.1 + 0.1 * j / (n - 1)) for j in range(n)
     ]
+
+
+def _alpha_grid(alpha_lo: float, alpha_hi: float, n_alpha: int) -> tuple[float, ...]:
+    """n_alpha evenly spaced channel-1 intensities from alpha_lo to alpha_hi."""
+    if not 0.0 <= alpha_lo < alpha_hi < 1.0:
+        raise ValueError(f"need 0 <= lo < hi < 1, got {alpha_lo}, {alpha_hi}")
+    if n_alpha < 2:
+        raise ValueError(f"need at least two alpha values, got {n_alpha}")
+    return tuple(
+        alpha_lo + (alpha_hi - alpha_lo) * i / (n_alpha - 1) for i in range(n_alpha)
+    )
+
+
+def _sweep_cell(
+    params: MapParams,
+    branch: Branch,
+    ch2: ControlChannel,
+    alphas: Seq[float],
+    inits: Seq[Point2],
+    cfg: SimConfig,
+    ell1: float,
+    dist1: NoiseDist,
+) -> Callable[[int], Optional[list[float]]]:
+    """The cell runner of a sweep: cell k = i * len(inits) + j starts at
+    inits[j] under alphas[i] on noise stream k and gives its tail x values,
+    or None if it escaped."""
+    if not inits:
+        raise ValueError("need at least one initial state")
+    target = fixed_point(params, branch)
+    n_inits = len(inits)
+
+    def run_cell(k: int) -> Optional[list[float]]:
+        i, j = divmod(k, n_inits)
+        schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
+        pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
+        return None if pts is None else [x for x, _ in pts]
+
+    return run_cell
 
 
 def bifurcation_sweep(
@@ -500,59 +538,50 @@ def bifurcation_sweep(
     early keep their final state repeatedly -- that is their limit set;
     escaped cells keep nothing and are counted.
     """
-    if not 0.0 <= alpha_lo < alpha_hi < 1.0:
-        raise ValueError(f"need 0 <= lo < hi < 1, got {alpha_lo}, {alpha_hi}")
-    if n_alpha < 2:
-        raise ValueError(f"need at least two alpha values, got {n_alpha}")
-    if not inits:
-        raise ValueError("need at least one initial state")
-    target = fixed_point(params, branch)
-    alphas = tuple(
-        alpha_lo + (alpha_hi - alpha_lo) * i / (n_alpha - 1) for i in range(n_alpha)
-    )
-    n_inits = len(inits)
-
-    def run_cell(k: int) -> Optional[list[float]]:
-        i, j = divmod(k, n_inits)
-        schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
-        pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
-        return None if pts is None else [x for x, _ in pts]
-
-    cells = _parallel_map(run_cell, n_alpha * n_inits, threads)
-    spread: list[Optional[tuple[float, float]]] = []
-    escaped = 0
-    for i in range(n_alpha):
-        lo = math.inf
-        hi = -math.inf
-        for xs in cells[i * n_inits : (i + 1) * n_inits]:
-            if xs is None:
-                escaped += 1
-                continue
-            for x in xs[-COLLAPSE_WINDOW:]:
-                if x < lo:
-                    lo = x
-                if x > hi:
-                    hi = x
-        spread.append((lo, hi) if lo <= hi else None)
-    return SweepResult(alphas, cells, escaped, tuple(spread))
+    alphas = _alpha_grid(alpha_lo, alpha_hi, n_alpha)
+    run_cell = _sweep_cell(params, branch, ch2, alphas, inits, cfg, ell1, dist1)
+    cells = _parallel_map(run_cell, n_alpha * len(inits), threads)
+    return SweepResult(alphas, cells, sum(xs is None for xs in cells))
 
 
-def last_collapse_alpha(result: SweepResult, tol: float = COLLAPSE_TOL) -> Optional[float]:
-    """Smallest alpha from which every larger alpha has a single-point tail.
+def collapse_alpha(
+    params: MapParams,
+    branch: Branch,
+    ch2: ControlChannel,
+    alpha_lo: float,
+    alpha_hi: float,
+    n_alpha: int,
+    inits: Seq[Point2],
+    cfg: SimConfig,
+    ell1: float = 0.0,
+    dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
+    threads: Optional[int] = None,
+) -> Optional[float]:
+    """Smallest alpha of the sweep grid from which every larger alpha has a
+    single-point tail, or None when the top alpha has not collapsed.
 
-    "Single-point" means the per-alpha x-spread stays below tol.  Returns
-    None when the top of the sweep has not collapsed (no stable equilibrium
-    detected in range).
+    An alpha has collapsed when the x-spread over the last COLLAPSE_WINDOW
+    tail points of its cells that did not escape stays below COLLAPSE_TOL;
+    an alpha whose cells all escaped has not.  The grid and every cell are
+    those of `bifurcation_sweep` with the same arguments, but the search
+    walks the grid from the top down and stops at the first alpha that has
+    not collapsed, so the cells below it never run.
     """
-    collapsed = [
-        s is not None and (s[1] - s[0]) < tol for s in result.spread
-    ]
-    if not collapsed or not collapsed[-1]:
-        return None
-    i = len(collapsed)
-    while i > 0 and collapsed[i - 1]:
-        i -= 1
-    return result.alphas[i]
+    alphas = _alpha_grid(alpha_lo, alpha_hi, n_alpha)
+    run_cell = _sweep_cell(params, branch, ch2, alphas, inits, cfg, ell1, dist1)
+    n_inits = len(inits)
+    found = None
+    for i in reversed(range(n_alpha)):
+        first = i * n_inits
+        tails = [
+            xs[-COLLAPSE_WINDOW:]
+            for xs in _parallel_map(lambda j: run_cell(first + j), n_inits, threads)
+            if xs is not None
+        ]
+        if not tails or max(map(max, tails)) - min(map(min, tails)) >= COLLAPSE_TOL:
+            break
+        found = alphas[i]
+    return found
 
 
 def limit_set(

@@ -369,16 +369,15 @@ def min_noise_for_stability(
     Searches the admissible interval ell1 in [0, min(alpha1, 1 - alpha1)) by
     bisection to absolute tolerance `tol`.  Returns 0 when no noise is needed.
     Raises NoWindow when even the largest admissible (and model-valid)
-    amplitude leaves the expected log non-negative.
+    amplitude leaves the expected log non-negative.  The DomainError of
+    `build_nu_model` (a bad radius, the spectral norm, no equilibrium) does
+    not depend on ell1 and propagates from the first model built.
     """
 
     def explog(ell: float) -> Optional[float]:
-        try:
-            model = build_nu_model(
-                params, branch, R, norm, ControlChannel(alpha1, ell, dist1), ch2
-            )
-        except DomainError:
-            return None
+        model = build_nu_model(
+            params, branch, R, norm, ControlChannel(alpha1, ell, dist1), ch2
+        )
         if not (model.regime_ok and model.positive):
             return None
         return expected_log_nu(model)

@@ -78,6 +78,18 @@ def test_domain_error_exit_1(capsys):
     assert "lozi" in err
 
 
+@pytest.mark.parametrize("command", ["explog", "minnoise"])
+@pytest.mark.parametrize("radius,shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_bad_radius_exit_1(command, radius, shown, capsys):
+    rc, out, err = run_cli(
+        [command, "--map", "henon", "--alpha1", "0.44", "--norm", "linf",
+         "--radius", radius],
+        capsys,
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"chaosctl: radius must be finite and >= 0, got {shown}\n"
+
+
 def test_no_window_exit_1(capsys):
     rc, _, err = run_cli(
         ["minnoise", "--map", "henon", "--norm", "linf", "--alpha1", "0.43"],
@@ -342,11 +354,8 @@ def test_seed_outside_64_bits_is_usage_error(seed, capsys, monkeypatch):
     rc, out, err = run_cli(["repro", "fig3d", f"--seed={seed}"], capsys)
     assert (rc, out) == (2, "")
     monkeypatch.setenv("CHAOSCTL_SEED", seed)
-    with pytest.raises(SystemExit) as exc:
-        cli.run_command(_SEED_ARGV)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    rc, out, err = run_cli(_SEED_ARGV, capsys)
+    assert (rc, out) == (2, "")
     assert err == f"chaosctl: CHAOSCTL_SEED must lie in [0, 2^64), got '{seed}'\n"
 
 

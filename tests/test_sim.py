@@ -26,13 +26,13 @@ from chaosctl import (
     bounded_noise_safe,
     build_nu_model,
     classify_tail,
+    collapse_alpha,
     controlled_lipschitz,
     default_init_grid,
     expected_log_nu,
     fixed_point,
     henon,
     induced_norm,
-    last_collapse_alpha,
     limit_set,
     lln_average,
     lozi,
@@ -423,14 +423,30 @@ def test_near_target_period_one_is_converged(henon_std):
 
 # --- bifurcation sweeps ---------------------------------------------------------
 
+def _collapse_from_cells(res, n_inits):
+    """Reference collapse point of a full sweep: the lowest alpha of the run of
+    alphas at the top of the grid whose cells that did not escape keep the
+    x-spread of their last COLLAPSE_WINDOW tail points below COLLAPSE_TOL."""
+    collapsed = []
+    for i in range(len(res.alphas)):
+        tails = [x for xs in res.cells[i * n_inits:(i + 1) * n_inits] if xs
+                 for x in xs[-sim.COLLAPSE_WINDOW:]]
+        collapsed.append(bool(tails) and max(tails) - min(tails) < sim.COLLAPSE_TOL)
+    want = None
+    i = len(collapsed)
+    while i > 0 and collapsed[i - 1]:
+        i -= 1
+        want = res.alphas[i]
+    return want
+
+
 def test_bifurcation_collapse_narrow(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
-    res = bifurcation_sweep(
-        henon_std, PLUS, ControlChannel(0.0), 0.49, 0.55, 60,
-        default_init_grid(8), cfg,
-    )
-    got = last_collapse_alpha(res)
+    args = (henon_std, PLUS, ControlChannel(0.0), 0.49, 0.55, 60, default_init_grid(8), cfg)
+    res = bifurcation_sweep(*args)
+    got = collapse_alpha(*args)
     assert got == pytest.approx(0.5164, abs=5e-3)
+    assert got == _collapse_from_cells(res, 8)
     assert res.escaped_cells == 0
     assert len(res.cells) == 60 * 8
     assert all(len(xs) == cfg.record_tail for xs in res.cells)
@@ -439,29 +455,49 @@ def test_bifurcation_collapse_narrow(henon_std):
 def test_bifurcation_noise_lowers_collapse(lozi_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     grid = default_init_grid(12)
-    clean = bifurcation_sweep(lozi_std, PLUS, ControlChannel(0.9), 0.2, 0.35, 80, grid, cfg)
-    noisy = bifurcation_sweep(
+    a_clean = collapse_alpha(lozi_std, PLUS, ControlChannel(0.9), 0.2, 0.35, 80, grid, cfg)
+    a_noisy = collapse_alpha(
         lozi_std, PLUS, ControlChannel(0.9), 0.2, 0.35, 80, grid, cfg, ell1=0.2
     )
-    a_clean = last_collapse_alpha(clean)
-    a_noisy = last_collapse_alpha(noisy)
     assert a_clean == pytest.approx(0.301, abs=5e-3)
     assert a_noisy < a_clean
 
 
 def test_bifurcation_threads_bit_identical(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
-    grid = default_init_grid(5)
-    serial = bifurcation_sweep(
-        henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, grid, cfg,
-        ell1=0.1, threads=1,
-    )
-    parallel = bifurcation_sweep(
-        henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, grid, cfg,
-        ell1=0.1, threads=4,
-    )
+    args = (henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, default_init_grid(5), cfg)
+    serial = bifurcation_sweep(*args, ell1=0.1, threads=1)
+    parallel = bifurcation_sweep(*args, ell1=0.1, threads=4)
     assert serial.cells == parallel.cells
-    assert serial.spread == parallel.spread
+    want = _collapse_from_cells(serial, 5)
+    assert serial.alphas[0] < want
+    assert collapse_alpha(*args, ell1=0.1, threads=4) == want
+    assert collapse_alpha(*args, ell1=0.1, threads=1) == want
+
+
+@pytest.mark.parametrize("params,lo,hi,n_alpha,ell1,outcome,escaped", [
+    pytest.param(henon(), 0.3, 0.45, 4, 0.0, "none", False, id="none"),
+    pytest.param(henon(), 0.55, 0.6, 3, 0.0, "bottom", False, id="bottom-alpha"),
+    pytest.param(henon(), 0.49, 0.55, 7, 0.0, "mid", False, id="mid-grid"),
+    # every cell escapes, so even the top alpha has no tail to collapse
+    pytest.param(henon(2.2), 0.0, 0.2, 3, 0.2, "none", True, id="all-escaped"),
+    # 0.51 collapses with two of its three cells escaped, 0.52 does not
+    # collapse, and every alpha from 0.53 up does: the answer is 0.53
+    pytest.param(henon(2.2), 0.3, 0.8, 51, 0.3, "mid", True, id="escaped-below-gap"),
+])
+def test_collapse_alpha_outcomes(params, lo, hi, n_alpha, ell1, outcome, escaped):
+    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
+    args = (params, PLUS, ControlChannel(0.0), lo, hi, n_alpha, default_init_grid(3), cfg)
+    res = bifurcation_sweep(*args, ell1=ell1)
+    got = collapse_alpha(*args, ell1=ell1)
+    assert got == _collapse_from_cells(res, 3)
+    assert (res.escaped_cells > 0) == escaped
+    if outcome == "none":
+        assert got is None
+    elif outcome == "bottom":
+        assert got == res.alphas[0]
+    else:
+        assert res.alphas[0] < got <= res.alphas[-1]
 
 
 def test_threads_default_is_serial(henon_std, monkeypatch):
@@ -475,41 +511,30 @@ def test_threads_default_is_serial(henon_std, monkeypatch):
     mc_convergence(henon_std, PLUS, Constant(0.6), PointSet((Point2(0.3, 0.1),)), 3, cfg)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=100)
 @given(
     kind=st.sampled_from(["henon", "lozi"]),
+    a=st.floats(1.2, 2.2),
     lo=st.floats(0.0, 0.6),
     width=st.floats(0.01, 0.3),
     n_alpha=st.integers(2, 5),
-    n_inits=st.integers(1, 3),
-    ell1=st.sampled_from([0.0, 0.1, 0.3]),
-    steps=st.integers(60, 800),
+    n_inits=st.integers(1, 4),
+    ell1=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    steps=st.one_of(st.integers(1, 60), st.integers(61, 800)),
 )
-def test_sweep_cells_match_spread_collapse_and_csv(kind, lo, width, n_alpha, n_inits,
+def test_sweep_cells_match_spread_collapse_and_csv(kind, a, lo, width, n_alpha, n_inits,
                                                    ell1, steps):
-    argv = ["bifurcation", "--map", kind, "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}",
+    # steps <= 200 leaves no transient and a tail of `steps` points
+    argv = ["bifurcation", "--map", kind, "--a", repr(a),
+            "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}",
             "--inits", str(n_inits), "--ell1", repr(ell1), "--steps", str(steps)]
     args = cli._parse(argv)
-    res = bifurcation_sweep(
-        cli._params(args), PLUS, ControlChannel(0.0), lo, lo + width, n_alpha,
-        default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)), ell1=ell1,
-    )
+    sweep_args = (cli._params(args), PLUS, ControlChannel(0.0), lo, lo + width, n_alpha,
+                  default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)))
+    res = bifurcation_sweep(*sweep_args, ell1=ell1)
     assert len(res.cells) == n_alpha * n_inits
     assert res.escaped_cells == sum(xs is None for xs in res.cells)
-    spread = []
-    for i in range(n_alpha):
-        tails = [x for xs in res.cells[i * n_inits:(i + 1) * n_inits] if xs
-                 for x in xs[-50:]]
-        spread.append((min(tails), max(tails)) if tails else None)
-    assert res.spread == tuple(spread)
-    collapsed = [s is not None and s[1] - s[0] < sim.COLLAPSE_TOL for s in spread]
-    want = None
-    if collapsed[-1]:
-        i = len(collapsed)
-        while i > 0 and collapsed[i - 1]:
-            i -= 1
-        want = res.alphas[i]
-    assert last_collapse_alpha(res) == want
+    assert collapse_alpha(*sweep_args, ell1=ell1) == _collapse_from_cells(res, n_inits)
     rows = cli.render(argv).splitlines()[3:]
     assert rows == [f"{res.alphas[k // n_inits]!r},{x!r}"
                     for k, xs in enumerate(res.cells) for x in xs or ()]
