@@ -51,7 +51,6 @@ from .stability import (
     local_threshold,
     min_noise_for_stability,
     norm_threshold,
-    per_row_control,
 )
 from .sim import (
     Bounded,

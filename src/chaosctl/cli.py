@@ -6,6 +6,13 @@ repro).  CSV goes to stdout unless --out is given, in which case the file is
 written atomically (temp file + rename).  Status and error messages go to
 stderr only.
 
+Each handler returns its output as an iterable of text chunks, and CSV is
+written as it is formatted: `bifurcation` yields one chunk per alpha, so its
+text is never held whole.  Its sweep still finishes before the first row is
+written, because the `# escaped_cells:` header needs the full count; an error
+in the sweep therefore writes nothing.  A reader that closes stdout early
+(`| head`) ends the output quietly.
+
 Every CSV starts with `#`-prefixed comments; the `# args:` line holds the
 canonical flag set, so re-running the printed flags reproduces the file
 byte-for-byte.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
@@ -19,11 +26,13 @@ cannot be written, 2 usage errors (including a non-finite --x0/--y0 and a
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
 import sys
 import tempfile
+from typing import Iterable, Iterator
 
 from .control import Constant, ControlChannel, InvalidControl, NoiseDist, Stochastic
 from .linalg2 import NormKind
@@ -276,7 +285,7 @@ def _config(args, initial: Point2) -> SimConfig:
     )
 
 
-def _cmd_simulate(args) -> tuple[str, int]:
+def _cmd_simulate(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
     lines = [
@@ -287,10 +296,10 @@ def _cmd_simulate(args) -> tuple[str, int]:
     ]
     for n, (p, (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1):
         lines.append(f"{n},{_fmt(p.x)},{_fmt(p.y)},{_fmt(d1)},{_fmt(d2)}")
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
-def _cmd_bifurcation(args) -> tuple[str, int]:
+def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
     lo, hi, n_alpha = args.alpha_range
     cfg = _config(args, Point2(0.1, 0.1))
     res = bifurcation_sweep(
@@ -306,21 +315,26 @@ def _cmd_bifurcation(args) -> tuple[str, int]:
         dist1=_DISTS[args.dist1],
         threads=args.threads,
     )
-    lines = [
-        _args_line(args),
-        f"# escaped_cells: {res.escaped_cells}",
-        "alpha,x",
-    ]
+    header = f"{_args_line(args)}\n# escaped_cells: {res.escaped_cells}\nalpha,x\n"
+    return itertools.chain([header], _bifurcation_rows(res)), 0
+
+
+def _bifurcation_rows(res) -> Iterator[str]:
+    """One chunk of `alpha,x` rows per alpha with a cell that did not escape."""
     per_alpha = len(res.cells) // len(res.alphas)
     for i, alpha in enumerate(res.alphas):
         prefix = _fmt(alpha) + ","
-        for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]:
-            # tail values are floats already, so repr is _fmt
-            lines.extend([prefix + r for r in map(repr, xs or ())])
-    return "\n".join(lines) + "\n", 0
+        # tail values are floats already, so repr is _fmt
+        rows = [
+            prefix + r
+            for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]
+            for r in map(repr, xs or ())
+        ]
+        if rows:
+            yield "\n".join(rows) + "\n"
 
 
-def _cmd_limitset(args) -> tuple[str, int]:
+def _cmd_limitset(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     pts = limit_set(
         _params(args),
@@ -332,20 +346,20 @@ def _cmd_limitset(args) -> tuple[str, int]:
     )
     lines = [_args_line(args), "x,y"]
     lines.extend(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
-def _cmd_threshold(args) -> tuple[str, int]:
+def _cmd_threshold(args) -> tuple[Iterable[str], int]:
     if args.norm is None:
         v = local_threshold(_params(args), _branch(args), args.alpha2)
     else:
         v = norm_threshold(
             _params(args), _branch(args), args.radius, args.alpha2, _NORMS[args.norm]
         )
-    return f"alpha_star,{v:.5g}\n", 0
+    return [f"alpha_star,{v:.5g}\n"], 0
 
 
-def _cmd_explog(args) -> tuple[str, int]:
+def _cmd_explog(args) -> tuple[Iterable[str], int]:
     model = build_nu_model(
         _params(args),
         _branch(args),
@@ -355,10 +369,10 @@ def _cmd_explog(args) -> tuple[str, int]:
         ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
     )
     v = expected_log_nu(model, args.method, seed=_seed(args))
-    return f"e_ln_nu,{_fmt(v)}\n", 0
+    return [f"e_ln_nu,{_fmt(v)}\n"], 0
 
 
-def _cmd_minnoise(args) -> tuple[str, int]:
+def _cmd_minnoise(args) -> tuple[Iterable[str], int]:
     v = min_noise_for_stability(
         _params(args),
         _branch(args),
@@ -368,10 +382,10 @@ def _cmd_minnoise(args) -> tuple[str, int]:
         _DISTS[args.dist1],
         ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
     )
-    return f"ell1_star,{v:.5g}\n", 0
+    return [f"ell1_star,{v:.5g}\n"], 0
 
 
-def _cmd_montecarlo(args) -> tuple[str, int]:
+def _cmd_montecarlo(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     rep = mc_convergence(
         _params(args),
@@ -387,16 +401,16 @@ def _cmd_montecarlo(args) -> tuple[str, int]:
         "trials,converged,fraction,ci_low,ci_high",
         f"{rep.trials},{rep.converged},{_fmt(rep.fraction)},{_fmt(rep.ci_low)},{_fmt(rep.ci_high)}",
     ]
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     rows = verify_mod.run_all(threads=args.threads)
     lines = ["criterion,status,detail"]
     for row in rows:
         detail = row.detail.replace(",", ";")
         lines.append(f"{row.name},{'pass' if row.passed else 'FAIL'},{detail}")
-    return "\n".join(lines) + "\n", 0 if all(r.passed for r in rows) else 1
+    return ["\n".join(lines) + "\n"], 0 if all(r.passed for r in rows) else 1
 
 
 #: Every subcommand except `repro`, which `_parse` resolves to its preset.
@@ -412,12 +426,12 @@ _HANDLERS = {
 }
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".chaosctl-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -441,7 +455,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def render(argv: list[str]) -> str:
     """Parse argv for a data-producing command and return its output text."""
     args = _parse(argv)
-    return _HANDLERS[args.command](args)[0]
+    return "".join(_HANDLERS[args.command](args)[0])
 
 
 def run_command(argv: list[str]) -> int:
@@ -450,7 +464,7 @@ def run_command(argv: list[str]) -> int:
         # Usage errors exit 2 from parsing, or from a handler that reads
         # CHAOSCTL_SEED; either way they come back as the exit status.
         args = _parse(argv)
-        text, status = _HANDLERS[args.command](args)
+        chunks, status = _HANDLERS[args.command](args)
     except SystemExit as e:
         return int(e.code or 0)
     except (DomainError, NoWindow, Unstabilizable, InvalidControl, ValueError) as e:
@@ -458,14 +472,29 @@ def run_command(argv: list[str]) -> int:
         return 1
     if args.out:
         try:
-            _write_atomic(args.out, text)
+            _write_atomic(args.out, chunks)
         except OSError as e:
             print(f"chaosctl: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
             return 1
         print(f"chaosctl: wrote {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        _write_stdout(chunks)
     return status
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write chunks to stdout, stopping quietly if the reader closes the pipe
+    (`chaosctl repro fig1a | head`)."""
+    out = sys.stdout  # looked up per call: callers may redirect it
+    try:
+        out.writelines(chunks)
+        out.flush()
+    except BrokenPipeError:
+        # Point the descriptor at devnull, so that the interpreter's flush of
+        # what is still buffered does not raise again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def main() -> int:

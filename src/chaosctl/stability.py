@@ -160,18 +160,6 @@ def norm_threshold(
     return hi
 
 
-def per_row_control(L1: float, L2: float, nu: float) -> tuple[float, float]:
-    """Smallest diagonal control making each Lipschitz row at most nu.
-
-    d_i = max(1 - nu / L_i, 0); then (1 - d_i) L_i <= nu.
-    """
-    if L1 <= 0.0 or L2 <= 0.0:
-        raise DomainError(f"row constants must be positive, got {L1}, {L2}")
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu must lie in (0, 1), got {nu}")
-    return max(1.0 - nu / L1, 0.0), max(1.0 - nu / L2, 0.0)
-
-
 def bounded_noise_safe(alpha: float, ell: float, alpha_star: float) -> bool:
     """Worst-case noise check: every realized intensity clears alpha_star.
 

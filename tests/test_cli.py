@@ -1,11 +1,15 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaosctl import cli
+from chaosctl import ControlChannel, Point2, bifurcation_sweep, cli, default_init_grid
 from chaosctl.verify import CheckRow
 
 
@@ -291,6 +295,123 @@ def test_bifurcation_threads_byte_identical():
     base = ["bifurcation", "--map", "henon", "--alpha-range", "0.5:0.6:8",
             "--inits", "3", "--steps", "700", "--ell1", "0.1"]
     assert cli.render(base + ["--threads", "1"]) == cli.render(base + ["--threads", "4"])
+
+
+def _single_join_reference(argv):
+    """The bifurcation CSV as one string, by the formula the streamed writer replaced."""
+    args = cli._parse(argv)
+    lo, hi, n_alpha = args.alpha_range
+    res = bifurcation_sweep(
+        cli._params(args), cli._branch(args),
+        ControlChannel(args.alpha2, args.ell2, cli._DISTS[args.dist2]),
+        lo, hi, n_alpha, default_init_grid(args.inits), cli._config(args, Point2(0.1, 0.1)),
+        ell1=args.ell1, dist1=cli._DISTS[args.dist1],
+    )
+    lines = [cli._args_line(args), f"# escaped_cells: {res.escaped_cells}", "alpha,x"]
+    per_alpha = len(res.cells) // len(res.alphas)
+    for i, alpha in enumerate(res.alphas):
+        for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]:
+            lines.extend(f"{alpha!r},{x!r}" for x in xs or ())
+    live = [i for i in range(n_alpha) if any(res.cells[i * per_alpha : (i + 1) * per_alpha])]
+    return "\n".join(lines) + "\n", [res.alphas[i] for i in live]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["henon", "lozi"]),
+    a=st.floats(1.2, 3.0),
+    lo=st.floats(0.0, 0.5),
+    width=st.floats(0.01, 0.4),
+    n_alpha=st.integers(2, 5),
+    n_inits=st.integers(1, 4),
+    ell1=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+    dist1=st.sampled_from(["bernoulli", "uniform"]),
+    alpha2=st.sampled_from([0.0, 0.9]),
+    steps=st.integers(1, 60),
+)
+def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_inits, ell1,
+                                             dist1, alpha2, steps):
+    # steps <= 60 leaves no transient and a tail of `steps` points; a high `a` or
+    # ell1 makes every cell of some alphas escape
+    argv = ["bifurcation", "--map", kind, "--a", repr(a),
+            "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}", "--inits", str(n_inits),
+            "--ell1", repr(ell1), "--dist1", dist1, "--alpha2", repr(alpha2),
+            "--steps", str(steps)]
+    expected, live_alphas = _single_join_reference(argv)
+
+    assert cli.render(argv) == expected
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bif.csv")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.run_command(argv) == 0
+            assert cli.run_command(argv + ["--out", path]) == 0
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode()
+    assert out.getvalue() == expected
+
+    chunks, status = cli._HANDLERS["bifurcation"](cli._parse(argv))
+    header, *rows = list(chunks)
+    assert status == 0
+    assert header == "".join(expected.splitlines(keepends=True)[:3])
+    assert len(rows) == len(live_alphas)
+    for chunk, alpha in zip(rows, live_alphas):
+        assert chunk.endswith("\n")
+        assert {line.split(",")[0] for line in chunk.splitlines()} == {repr(alpha)}
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # about 3 MB of CSV, far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chaosctl.cli", "bifurcation", "--map", "henon",
+         "--alpha-range", "0.5:0.6:20", "--inits", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"# args: bifurcation ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def test_out_keeps_old_file_when_a_chunk_fails(tmp_path, capsys, monkeypatch):
+    rows = cli._bifurcation_rows
+
+    def fail_after_first(res):
+        chunks = rows(res)
+        yield next(chunks)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_bifurcation_rows", fail_after_first)
+    path = tmp_path / "bif.csv"
+    path.write_bytes(b"old bytes\n")
+    rc, out, err = run_cli(
+        ["bifurcation", "--map", "henon", "--alpha-range", "0.5:0.6:4", "--inits", "2",
+         "--out", str(path)],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == f"chaosctl: cannot write {path}: No space left on device\n"
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["bif.csv"]
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_sweep_error_writes_nothing(out, tmp_path, capsys):
+    argv = ["bifurcation", "--map", "henon", "--alpha-range", "0.6:0.4:10"]
+    if out:
+        argv += ["--out", str(tmp_path / "bif.csv")]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert err == "chaosctl: need 0 <= lo < hi < 1, got 0.6, 0.4\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_limitset_csv(capsys):

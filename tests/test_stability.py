@@ -25,7 +25,6 @@ from chaosctl import (
     lozi,
     min_noise_for_stability,
     norm_threshold,
-    per_row_control,
     trace_det_stable,
 )
 from chaosctl.stability import mc_log_nu
@@ -145,21 +144,7 @@ def test_unstabilizable_when_second_row_too_large():
         norm_threshold(params, PLUS, 0.05, 0.0, NormKind.LINF)
 
 
-# --- per-row control and worst-case noise safety -----------------------------
-
-def test_per_row_control_examples():
-    assert per_row_control(2.4, 0.3, 0.99) == (pytest.approx(0.5875), 0.0)
-    assert per_row_control(0.5, 0.5, 0.9) == (0.0, 0.0)
-    assert per_row_control(1.0, 1.0, 0.5) == (pytest.approx(0.5), pytest.approx(0.5))
-
-
-def test_per_row_control_guarantee():
-    for L1, L2, nu in [(2.4, 0.3, 0.9), (3.3, 1.7, 0.5), (0.8, 2.0, 0.99)]:
-        d1, d2 = per_row_control(L1, L2, nu)
-        assert (1.0 - d1) * L1 <= nu + 1e-12
-        assert (1.0 - d2) * L2 <= nu + 1e-12
-        assert 0.0 <= d1 < 1.0 and 0.0 <= d2 < 1.0
-
+# --- worst-case noise safety --------------------------------------------------
 
 def test_bounded_noise_safe_examples():
     assert bounded_noise_safe(0.7, 0.05, 0.6)
