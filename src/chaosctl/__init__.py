@@ -33,6 +33,7 @@ from .control import (
     RngState,
     Sequence,
     Stochastic,
+    control_pairs,
     next_rand,
     noise_pairs,
     scramble,

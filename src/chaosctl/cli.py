@@ -320,18 +320,25 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
 
 
 def _bifurcation_rows(res) -> Iterator[str]:
-    """One chunk of `alpha,x` rows per alpha with a cell that did not escape."""
+    """One chunk of `alpha,x` rows per alpha with a cell that did not escape.
+
+    Tail values are finite floats, so repr is _fmt, and each distinct value
+    of an alpha is formatted once.  A tail that holds a zero is formatted
+    value by value: 0.0 == -0.0, but their reprs differ.
+    """
     per_alpha = len(res.cells) // len(res.alphas)
     for i, alpha in enumerate(res.alphas):
+        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
+        xs = list(itertools.chain.from_iterable(filter(None, cells)))
+        if not xs:
+            continue
+        u = set(xs)
+        if 0.0 in u:
+            strs = map(repr, xs)
+        else:
+            strs = map(dict(zip(u, map(repr, u))).__getitem__, xs)
         prefix = _fmt(alpha) + ","
-        # tail values are floats already, so repr is _fmt
-        rows = [
-            prefix + r
-            for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]
-            for r in map(repr, xs or ())
-        ]
-        if rows:
-            yield "\n".join(rows) + "\n"
+        yield prefix + ("\n" + prefix).join(strs) + "\n"
 
 
 def _cmd_limitset(args) -> tuple[Iterable[str], int]:

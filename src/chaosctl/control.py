@@ -21,12 +21,13 @@ Monte Carlo work uses one independent stream per trial:
 where scramble(v) is the output of a single SplitMix64 step applied to v.
 RNG state is a value passed explicitly; there is no shared mutable state.
 
-That contract is all a consumer sees.  `noise_pairs`, the sampler every
-stochastic consumer uses, generates the draws word-parallel: a chunk of them
-is one int with a 128-bit lane per draw, and each step of the recurrence
-above runs once on the whole chunk.  The one-word-at-a-time `_sm64_next`
-(with `next_rand`, `sample_noise` and `control_at_step`) is the scalar
-reference the tests hold it to.
+That contract is all a consumer sees.  `noise_pairs`, the sampler of
+(chi_1, chi_2), and `control_pairs`, the realized control pairs of a
+schedule that the trajectory engine reads, generate the draws word-parallel:
+a chunk of them is one int with a 128-bit lane per draw, and each step of
+the recurrence above runs once on the whole chunk.  The one-word-at-a-time
+`_sm64_next` (with `next_rand`, `sample_noise` and `control_at_step`) is the
+scalar reference the tests hold them to.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import chain
-from operator import sub
+from itertools import chain, cycle, repeat
+from operator import add, mul, sub
 from typing import Iterator, Union
 
 from .maps import MapParams, Point2, map_step
@@ -125,7 +126,7 @@ def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[fl
     equals the one `control_at_step` derives from `_sm64_next`, `bernoulli_pm1`
     and `uniform_m1p1`, the scalar reference.
     """
-    return chain.from_iterable(_noise_chunks(s, dist1, dist2))
+    return chain.from_iterable(_noise_chunks(s, _UNIT[dist1], _UNIT[dist2]))
 
 
 # Chunk sizes in pairs: the first chunk, doubled up to the cap, so a run that
@@ -133,7 +134,6 @@ def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[fl
 _FIRST_CHUNK = 32
 _CHUNK_CAP = 1024
 # Indexed by the top byte of an output word z, i.e. by bit 63 of z.
-_PM1 = (-1.0,) * 128 + (1.0,) * 128
 _ONE_OR_TWO = (2.0,) * 128 + (1.0,) * 128
 
 
@@ -160,8 +160,8 @@ def _lanes(pairs: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _noise_chunks(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[zip]:
-    """Successive chunks of noise_pairs, each a zip over two channel iterators.
+def _noise_chunks(s: int, ch1: ControlChannel, ch2: ControlChannel) -> Iterator[zip]:
+    """Successive chunks of realized (d1, d2) pairs, each a zip over two channel iterators.
 
     SplitMix64's state is a Weyl sequence, so draw j of a chunk that starts
     from state s has state s + (j + 1) * GOLDEN: a whole chunk is one int
@@ -171,16 +171,23 @@ def _noise_chunks(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[zip]:
     fits its lane, and after it, so no bits shifted in from the lane's upper
     half or the next lane reach the low 64 bits.
 
-    Bernoulli samples come from the little-endian bytes: the top byte of
-    each word (bit 63) through `_PM1`.  Uniform samples: for w = z >> 11,
-    uniform_m1p1(z) = w * 2^-52 - 1 = f - 2 + (w >> 52), where
-    f = 1 + (w mod 2^52) * 2^-52 in [1, 2) is the double with the exponent
-    bits of 1.0 and mantissa w mod 2^52; f - 1 and f - 2 are exact
-    (Sterbenz), so the sample is the reference value bit for bit.  The f are
-    read as native doubles, so their bytes are laid out in host order, and on
-    a big-endian host the view is reversed to put lane 0's low word first.
+    Channel i realizes d = alpha + ell * chi from draw 2 k + i - 1 of step k.
+    A Bernoulli channel reads the little-endian bytes: the top byte of each
+    word (bit 63) indexes a table of alpha + ell * -1.0 and alpha + ell * 1.0.
+    Uniform samples: for w = z >> 11, uniform_m1p1(z) = w * 2^-52 - 1 =
+    f - 2 + (w >> 52), where f = 1 + (w mod 2^52) * 2^-52 in [1, 2) is the
+    double with the exponent bits of 1.0 and mantissa w mod 2^52; f - 1 and
+    f - 2 are exact (Sterbenz), so the sample is the reference value bit for
+    bit.  The f are read as native doubles, so their bytes are laid out in
+    host order, and on a big-endian host the view is reversed to put lane 0's
+    low word first.  A uniform channel with alpha = 0 and ell = 1 is chi
+    itself, which is never -0.0, so `noise_pairs` skips its affine map.
     """
-    uniform = NoiseDist.UNIFORM_M1P1 in (dist1, dist2)
+    uniform = NoiseDist.UNIFORM_M1P1 in (ch1.dist, ch2.dist)
+    channels = [
+        (ch, (ch.alpha + ch.ell * -1.0,) * 128 + (ch.alpha + ch.ell * 1.0,) * 128)
+        for ch in (ch1, ch2)
+    ]
     pairs = _FIRST_CHUNK
     while True:
         ones, ramp, low, mantissa, exponent = _lanes(pairs)
@@ -195,14 +202,17 @@ def _noise_chunks(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[zip]:
             f = memoryview(f_bits.to_bytes(size, sys.byteorder)).cast("d")
             if sys.byteorder == "big":
                 f = f[::-1]  # lane 0 last, each lane's low word second
-        chis = []
-        for lane, dist in ((0, dist1), (1, dist2)):
+        ds = []
+        for lane, (ch, bernoulli) in enumerate(channels):
             top = raw[16 * lane + 7 :: 32]
-            if dist is NoiseDist.BERNOULLI_PM1:
-                chis.append(map(_PM1.__getitem__, top))
+            if ch.dist is NoiseDist.BERNOULLI_PM1:
+                d = map(bernoulli.__getitem__, top)
             else:
-                chis.append(map(sub, f[2 * lane :: 4], map(_ONE_OR_TWO.__getitem__, top)))
-        yield zip(*chis)
+                d = map(sub, f[2 * lane :: 4], map(_ONE_OR_TWO.__getitem__, top))
+                if ch.alpha != 0.0 or ch.ell != 1.0:
+                    d = map(add, repeat(ch.alpha), map(mul, repeat(ch.ell), d))
+            ds.append(d)
+        yield zip(*ds)
         s = (s + 2 * pairs * _GOLDEN) & _M64
         pairs = min(2 * pairs, _CHUNK_CAP)
 
@@ -272,6 +282,25 @@ class Stochastic:
 
 
 ControlSchedule = Union[Constant, Sequence, Stochastic]
+
+# Unit channels: d = chi, so `noise_pairs` is `_noise_chunks` read raw.
+_UNIT = {dist: ControlChannel(0.0, 1.0, dist) for dist in NoiseDist}
+
+
+def control_pairs(schedule: ControlSchedule, s: int) -> Iterator[tuple[float, float]]:
+    """Endless realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
+
+    s is the raw SplitMix64 state of a Stochastic schedule's noise stream;
+    Constant and Sequence schedules ignore it.  Every pair equals the one
+    `control_at_step` realizes, the scalar reference; a Stochastic schedule
+    reads `_noise_chunks`, two draws per step, so a zero amplitude still
+    consumes its draws.
+    """
+    if isinstance(schedule, Constant):
+        return repeat((schedule.d1, schedule.d2))
+    if isinstance(schedule, Sequence):
+        return cycle(schedule.pairs)
+    return chain.from_iterable(_noise_chunks(s, schedule.ch1, schedule.ch2))
 
 
 def control_at_step(

@@ -10,11 +10,14 @@ way.  `collapse_alpha` runs the cells of `bifurcation_sweep` one alpha at a
 time from the top of the grid down and stops at the first alpha that has
 not collapsed.
 
-One engine loop, `_run_raw`, serves every experiment.  It returns raw
-(x, y) tuples; only `run_trajectory` builds `Point2` points and classifies
-the tail, while sweep cells and Monte Carlo trials read just the online
-outcome.  A run under a constant control pair stops once its state repeats
-bit for bit and replays the cycle, with identical output.
+One engine loop, `_run_raw`, serves every experiment.  It reads the
+schedule's realized control pairs from one stream, `control.control_pairs`,
+with no per-step branch on the schedule type, and records no controls; only
+`run_trajectory` keeps them, from a `tee` of the same stream.  It returns
+raw (x, y) tuples; only `run_trajectory` builds `Point2` points and
+classifies the tail, while sweep cells and Monte Carlo trials read just the
+online outcome.  A run under a constant control pair stops once its state
+repeats bit for bit and replays the cycle, with identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice, tee
 from typing import Callable, Optional, Sequence as Seq, Union
 
 from .control import (
@@ -30,8 +34,8 @@ from .control import (
     ControlChannel,
     ControlSchedule,
     NoiseDist,
-    Sequence,
     Stochastic,
+    control_pairs,
     next_rand,
     noise_pairs,
     stream_for_trial,
@@ -247,13 +251,18 @@ def _run_raw(
     cfg: SimConfig,
     rng_s: int,
     record: str,
+    keep_controls: bool = False,
 ) -> tuple[Seq[tuple[float, float]], Seq[tuple[float, float]], Optional[Outcome], int]:
     """Engine core: (states, controls, online outcome or None, steps run).
 
-    Keeps state in scalars; arithmetic matches vmtoc_step.  States are raw
-    (x, y) tuples, recorded as `Trajectory.points` describes.  The online
-    outcome is Escaped or Converged; None means the tail is still to be
-    classified.
+    One loop reads the realized pairs of `control_pairs(schedule, rng_s)`;
+    it keeps state in scalars and its arithmetic matches vmtoc_step.  States
+    are raw (x, y) tuples, recorded as `Trajectory.points` describes.  The
+    loop records no controls: with keep_controls a `tee` of the same stream
+    gives the pairs of the steps run, aligned with the states as
+    `Trajectory.controls` describes, and otherwise controls is empty.  The
+    online outcome is Escaped or Converged; None means the tail is still to
+    be classified.
 
     Under a constant control pair the next state is a pure function of the
     current one, so once a state repeats bit for bit the rest of the run is
@@ -266,33 +275,23 @@ def _run_raw(
     a, b = params.a, params.b
     tx, ty = target.x, target.y
     bound, conv_tol = ESCAPE_BOUND, cfg.conv_tol
+    neg_bound, neg_tol = -bound, -conv_tol
     x, y = cfg.initial.x, cfg.initial.y
 
-    constant = isinstance(schedule, Constant)
-    sequence = isinstance(schedule, Sequence)
-    if constant:
-        d1 = schedule.d1
-        d2 = schedule.d2
-    elif sequence:
-        pairs = schedule.pairs
-        n_pairs = len(pairs)
-    else:
-        c1, c2 = schedule.ch1, schedule.ch2
-        a1, l1, a2, l2 = c1.alpha, c1.ell, c2.alpha, c2.ell
+    if isinstance(schedule, Stochastic) and schedule.ch1.ell == 0.0 and schedule.ch2.ell == 0.0:
         # Zero amplitudes realize constant controls; skipping the draws is
         # unobservable because each run owns its stream exclusively.
-        if l1 == 0.0 and l2 == 0.0:
-            constant = True
-            d1, d2 = a1, a2
-        else:
-            noise = noise_pairs(rng_s, c1.dist, c2.dist)
+        schedule = Constant(schedule.ch1.alpha, schedule.ch2.alpha)
+    constant = isinstance(schedule, Constant)
+    pairs = control_pairs(schedule, rng_s)
+    if keep_controls:
+        pairs, kept = tee(pairs)
 
     tail_mode = record == "tail"
     if tail_mode:
-        rec: deque = deque(maxlen=cfg.record_tail)
+        rec: deque | list = deque(maxlen=cfg.record_tail)
     else:
         rec = [(x, y)]
-    controls: deque | list = deque(maxlen=cfg.record_tail) if tail_mode else []
 
     # Brent's saved state and its step; NaN never compares equal.
     sx = sy = math.nan
@@ -302,7 +301,7 @@ def _run_raw(
     outcome: Optional[Outcome] = None
     in_tol = 0
     n = 0
-    for n in range(1, cfg.steps + 1):
+    for n, (d1, d2) in zip(range(1, cfg.steps + 1), pairs):
         if constant:
             # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
             # signs of zero are compared too.
@@ -321,12 +320,6 @@ def _run_raw(
             if n == save_at:
                 sx, sy, saved_n = x, y, n - 1
                 save_at = 2 * n
-        elif sequence:
-            d1, d2 = pairs[(n - 1) % n_pairs]
-        else:
-            chi1, chi2 = next(noise)
-            d1 = a1 + l1 * chi1
-            d2 = a2 + l2 * chi2
         if henon:
             fx = y + 1.0 - a * x * x
         else:
@@ -335,11 +328,12 @@ def _run_raw(
         x = d1 * tx + (1.0 - d1) * fx
         y = d2 * ty + (1.0 - d2) * fy
         rec.append((x, y))
-        controls.append((d1, d2))
-        if not (abs(x) <= bound and abs(y) <= bound):  # catches NaN too
+        # The chained comparisons are abs(x) <= bound and abs(x - tx) <
+        # conv_tol for every double, inf included; a NaN state escapes.
+        if not (neg_bound <= x <= bound and neg_bound <= y <= bound):
             outcome = Escaped(n)
             break
-        if abs(x - tx) < conv_tol and abs(y - ty) < conv_tol:
+        if neg_tol < x - tx < conv_tol and neg_tol < y - ty < conv_tol:
             in_tol += 1
             if in_tol >= CONV_WINDOW:
                 outcome = Converged(n)
@@ -356,7 +350,7 @@ def _run_raw(
         n = cfg.steps
         for m in range(done + 1, min(n, done + period + CONV_WINDOW) + 1):
             cx, cy = cycle[(m - done - 1) % period]
-            if abs(cx - tx) < conv_tol and abs(cy - ty) < conv_tol:
+            if neg_tol < cx - tx < conv_tol and neg_tol < cy - ty < conv_tol:
                 in_tol += 1
                 if in_tol >= CONV_WINDOW:
                     outcome = Converged(m)
@@ -366,7 +360,9 @@ def _run_raw(
                 in_tol = 0
         first = max(done + 1, n - cfg.record_tail + 1) if tail_mode else done + 1
         rec.extend(cycle[(m - done - 1) % period] for m in range(first, n + 1))
-        controls.extend([(d1, d2)] * (n + 1 - first))
+    controls: Seq[tuple[float, float]] = ()
+    if keep_controls:
+        controls = deque(islice(kept, n), maxlen=cfg.record_tail if tail_mode else None)
     return rec, controls, outcome, n
 
 
@@ -407,7 +403,8 @@ def run_trajectory(
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
     target = fixed_point(params, branch)
     rec, controls, outcome, n = _run_raw(
-        params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record
+        params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record,
+        keep_controls=True,
     )
     pts = list(rec)
     if outcome is None:
@@ -659,8 +656,8 @@ def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
     """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
 
     The final entry converges to the model's expected log by the law of
-    large numbers; the draws come from `noise_pairs`, as in the trajectory
-    engine.
+    large numbers; the draws come from `noise_pairs`, the draws the
+    trajectory engine reads through `control_pairs`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

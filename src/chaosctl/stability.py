@@ -284,8 +284,8 @@ def _explog_quadrature(model: NuModel, tol: float = 1e-10) -> float:
 def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of ln nu.
 
-    Uses trial stream 0 of `seed` and draws from `noise_pairs`, as the
-    trajectory engine does.
+    Uses trial stream 0 of `seed` and draws from `noise_pairs`, the draws
+    the trajectory engine reads through `control_pairs`.
     """
     _check_model(model)
     if samples < 1:

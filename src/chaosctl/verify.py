@@ -6,7 +6,7 @@ passes.  Rows 4b, 4d and 4f fail as stated: far fewer than 95% of their
 trials reach the 1e-9 convergence window within 2000 steps.  The suspected
 cause, that these noise amplitudes sit at the margin of stochastic
 stability, is an unverified explanation: no code here computes the top
-Lyapunov exponent that would show it (ROADMAP.md, item 5).  The rows are
+Lyapunov exponent that would show it (ROADMAP.md, item 1).  The rows are
 evaluated faithfully and report the measured fractions.
 """
 

@@ -5,7 +5,7 @@ Three noise-stabilization rows (4b, 4d, 4f) are marked xfail: the required
 sets, while the sibling negative-control row (4e, < 5%) pins the same
 convergence definition from the other side.  That these sets sit at the
 margin of stochastic stability is an unverified explanation: no code
-computes the top Lyapunov exponent yet (ROADMAP.md, item 5).  The rows are
+computes the top Lyapunov exponent yet (ROADMAP.md, item 1).  The rows are
 still evaluated exactly as stated and their measured values printed.
 """
 
@@ -55,7 +55,7 @@ def test_c4a_henon_no_noise(table):
 @pytest.mark.xfail(
     strict=True,
     reason="~52% of trials reach the 1e-9 window within 2000 steps; marginal "
-    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 1)",
 )
 def test_c4b_henon_noise_stabilized(table):
     _assert_row(table, "4b-henon-ell03")
@@ -68,7 +68,7 @@ def test_c4c_lozi_no_noise(table):
 @pytest.mark.xfail(
     strict=True,
     reason="~29% of trials reach the 1e-9 window within 2000 steps; marginal "
-    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 1)",
 )
 def test_c4d_lozi_noise_stabilized(table):
     _assert_row(table, "4d-lozi-ell015")
@@ -81,7 +81,7 @@ def test_c4e_lozi_second_channel_off(table):
 @pytest.mark.xfail(
     strict=True,
     reason="~26% of trials reach the 1e-9 window within 2000 steps; marginal "
-    "stochastic stability is the unverified explanation (ROADMAP.md, item 5)",
+    "stochastic stability is the unverified explanation (ROADMAP.md, item 1)",
 )
 def test_c4f_lozi_second_channel_on(table):
     _assert_row(table, "4f-lozi-ell2-055")

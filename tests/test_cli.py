@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosctl import ControlChannel, Point2, bifurcation_sweep, cli, default_init_grid
+from chaosctl import ControlChannel, Point2, SweepResult, bifurcation_sweep, cli, default_init_grid
 from chaosctl.verify import CheckRow
 
 
@@ -358,6 +359,42 @@ def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_init
     for chunk, alpha in zip(rows, live_alphas):
         assert chunk.endswith("\n")
         assert {line.split(",")[0] for line in chunk.splitlines()} == {repr(alpha)}
+
+
+def test_bifurcation_rows_bytes():
+    # Signed zeros share an alpha (0.0 == -0.0, but their reprs differ), values
+    # repeat, some cells escaped, and every cell of alphas[1] escaped.
+    res = SweepResult(
+        alphas=(0.1, 0.25, 0.5),
+        cells=[
+            [0.0, -0.0, 0.3], [0.3, 0.3, -0.0], None,
+            None, None, None,
+            [0.7, 0.7, 1e-300], None, [-2.5, 0.7, 0.1 + 0.2],
+        ],
+        escaped_cells=5,
+    )
+    chunks = list(cli._bifurcation_rows(res))
+    reference = [
+        "".join(f"{alpha!r},{x!r}\n" for xs in res.cells[3 * i : 3 * i + 3] for x in xs or ())
+        for i, alpha in enumerate(res.alphas)
+    ]
+    assert chunks == [reference[0], reference[2]]
+
+
+# SHA-256 of `repro <preset> --seed 0` for the sweep presets that the
+# benchmark's golden digests do not cover: Lozi with y-control, and uniform
+# noise on both maps.
+_SWEEP_DIGESTS = {
+    "fig2b": "65ede986b1667c1c9dd1c926808c26087dbe4787e298f3395a6f1bf53a5ad6aa",
+    "fig8c": "8ba756088416ec00f5063203f6778ca09abfe5dadaecd4d91b620ebdae53ad65",
+    "fig9c": "3d8aa64ebca9b94b2f45522b0dbe9f97e0b6dfc162fd0b1c2d4a9df9a3ed3c94",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SWEEP_DIGESTS))
+def test_sweep_preset_bytes(preset):
+    text = cli.render(["repro", preset, "--seed", "0"])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_DIGESTS[preset]
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -13,6 +13,7 @@ from chaosctl import (
     RngState,
     Sequence,
     Stochastic,
+    control_pairs,
     fixed_point,
     henon,
     map_step,
@@ -105,6 +106,31 @@ def test_noise_pairs_flatten_to_next_rand_sequence(s, dist1, dist2):
         state, z1 = next_rand(state)
         state, z2 = next_rand(state)
         assert repr(pair) == repr((sample_noise(dist1, z1), sample_noise(dist2, z2))), i
+
+
+_intensity = st.floats(0.0, 1.0, exclude_max=True)
+_channel = st.builds(
+    ControlChannel,
+    _intensity,
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.sampled_from(list(NoiseDist)),
+)
+_schedule = st.one_of(
+    st.builds(Constant, _intensity, _intensity),
+    st.builds(Sequence, st.lists(st.tuples(_intensity, _intensity), min_size=1, max_size=7).map(tuple)),
+    st.builds(Stochastic, _channel, _channel),
+)
+
+
+@settings(deadline=None)
+@given(s=st.one_of(st.integers(0, M64), _near_wrap), schedule=_schedule)
+def test_control_pairs_match_control_at_step(s, schedule):
+    # 3100 pairs cover every chunk size and two capped chunks; compared pair
+    # by pair, as in the noise_pairs test above.
+    rng = RngState(s)
+    for n, pair in enumerate(islice(control_pairs(schedule, s), 3100)):
+        rng, d1, d2 = control_at_step(schedule, n, rng)
+        assert repr(pair) == repr((d1, d2)), n
 
 
 def test_channel_validation():

@@ -304,7 +304,7 @@ _quiet_channel = st.builds(
     seed=st.integers(0, 2**64 - 1),
 )
 def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, seed):
-    # 3100 steps draw 6200 words: every chunk size of noise_pairs and two
+    # 3100 steps draw 6200 words: every chunk size of control_pairs and two
     # chunks at its cap.
     schedule = Stochastic(ch1, ch2)
     cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed,
