@@ -34,7 +34,7 @@ import sys
 import tempfile
 from typing import Iterable, Iterator
 
-from .control import Constant, ControlChannel, InvalidControl, NoiseDist, Stochastic
+from .control import ControlChannel, InvalidControl, NoiseDist, Stochastic
 from .linalg2 import NormKind
 from .maps import Branch, DomainError, MapKind, MapParams, Point2
 from .presets import PRESETS
@@ -221,9 +221,8 @@ def _branch(args) -> Branch:
     return Branch(args.branch)
 
 
-def _schedule(args):
-    if args.ell1 == 0.0 and args.ell2 == 0.0:
-        return Constant(args.alpha1, args.alpha2)
+def _schedule(args) -> Stochastic:
+    # The engine runs constant channels as a Constant schedule.
     return Stochastic(
         ControlChannel(args.alpha1, args.ell1, _DISTS[args.dist1]),
         ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),

@@ -22,12 +22,17 @@ where scramble(v) is the output of a single SplitMix64 step applied to v.
 RNG state is a value passed explicitly; there is no shared mutable state.
 
 That contract is all a consumer sees.  `noise_pairs`, the sampler of
-(chi_1, chi_2), and `control_pairs`, the realized control pairs of a
-schedule that the trajectory engine reads, generate the draws word-parallel:
-a chunk of them is one int with a 128-bit lane per draw, and each step of
-the recurrence above runs once on the whole chunk.  The one-word-at-a-time
-`_sm64_next` (with `next_rand`, `sample_noise` and `control_at_step`) is the
-scalar reference the tests hold them to.
+(chi_1, chi_2), `control_pairs`, the realized control pairs of a schedule
+that the trajectory engine reads, and `step_values`, which both read, take
+two draws per step and generate them word-parallel in `_noise_chunks`: a
+chunk of them is one int with a 128-bit lane per draw, and each step of the
+recurrence above runs once on the whole chunk.  Only draws whose value can
+be read are computed.  A channel whose realized values at chi = -1 and +1
+are one double is constant and never drawn.  When the drawn channels are
+Bernoulli, a step's value is one of four, looked up by the two sign bits
+folded into one byte.  The one-word-at-a-time `_sm64_next` (with
+`next_rand`, `sample_noise` and `control_at_step`) is the scalar reference
+the tests hold them to.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from enum import Enum
 from functools import cache
 from itertools import chain, cycle, repeat
 from operator import add, mul, sub
-from typing import Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .maps import MapParams, Point2, map_step
 
@@ -126,7 +131,23 @@ def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[fl
     equals the one `control_at_step` derives from `_sm64_next`, `bernoulli_pm1`
     and `uniform_m1p1`, the scalar reference.
     """
-    return chain.from_iterable(_noise_chunks(s, _UNIT[dist1], _UNIT[dist2]))
+    return step_values(s, _UNIT[dist1], _UNIT[dist2])
+
+
+def step_values(
+    s: int,
+    ch1: ControlChannel,
+    ch2: ControlChannel,
+    value: Optional[Callable[[float, float], object]] = None,
+) -> Iterator:
+    """Endless values of steps 0, 1, 2, ... of two channels drawn from state s.
+
+    Step k realizes d_i = alpha_i + ell_i * chi_i from draws 2 k and 2 k + 1
+    and yields value(d1, d2), or the pair (d1, d2) when value is None.  When
+    the drawn channels are Bernoulli, value is called only to build a table
+    of the four possible steps, so it must depend on its arguments alone.
+    """
+    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value))
 
 
 # Chunk sizes in pairs: the first chunk, doubled up to the cap, so a run that
@@ -137,82 +158,147 @@ _CHUNK_CAP = 1024
 _ONE_OR_TWO = (2.0,) * 128 + (1.0,) * 128
 
 
-@cache
-def _lanes(pairs: int) -> tuple[int, int, int, int, int]:
-    """Lane constants for a chunk of `pairs` pairs: 2 * pairs 128-bit lanes.
+def _same(a: object, b: object) -> bool:
+    """Whether two doubles, or tuples of them, are equal bit for bit.
 
-    Returns (ones, ramp, low, mantissa, exponent): every lane 1; lane j holds
-    (j + 1) * GOLDEN; every lane 2^64 - 1; every lane 2^52 - 1; every lane the
-    exponent bits of 1.0.  Built once per chunk size (six sizes, about 340 KB
-    in all).
+    `==` equates -0.0 and 0.0; repr tells every two distinct finite doubles
+    apart, the signs of zero included.
+    """
+    return a == b and repr(a) == repr(b)
+
+
+@cache
+def _lanes(pairs: int, width: int) -> tuple[int, int, int, int, int]:
+    """Lane constants for a chunk of `pairs` steps, `width` 128-bit lanes a step.
+
+    Returns (ones, ramp, low, mantissa, exponent): every lane 1; lane
+    width * j + i holds (2 j + i + 1) * GOLDEN, the Weyl offset of draw
+    2 j + i; every lane 2^64 - 1; every lane 2^52 - 1; every lane the
+    exponent bits of 1.0.  Built once per chunk size and width (about 340 KB
+    in all at width 2, 170 KB at width 1).
     """
 
     def lanes(words) -> int:
         return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
 
-    n = 2 * pairs
+    n = width * pairs
     return (
         lanes([1] * n),
-        lanes(range(1, n + 1)) * _GOLDEN,
+        lanes(2 * j + i + 1 for j in range(pairs) for i in range(width)) * _GOLDEN,
         lanes([_M64] * n),
         lanes([(1 << 52) - 1] * n),
         lanes([0x3FF << 52] * n),
     )
 
 
-def _noise_chunks(s: int, ch1: ControlChannel, ch2: ControlChannel) -> Iterator[zip]:
-    """Successive chunks of realized (d1, d2) pairs, each a zip over two channel iterators.
+def _noise_chunks(
+    s: int,
+    ch1: ControlChannel,
+    ch2: ControlChannel,
+    value: Optional[Callable[[float, float], object]],
+) -> Iterator[Iterator]:
+    """Successive chunks of step values, as `step_values` describes them.
 
-    SplitMix64's state is a Weyl sequence, so draw j of a chunk that starts
-    from state s has state s + (j + 1) * GOLDEN: a whole chunk is one int
-    with draw j in lane j, its bits 128 j to 128 j + 127, and each
-    operation of the output step runs once on the whole int.  Every lane is
-    masked back to 64 bits before each multiply, so a 64 x 64-bit product
-    fits its lane, and after it, so no bits shifted in from the lane's upper
-    half or the next lane reach the low 64 bits.
+    SplitMix64's state is a Weyl sequence, so draw m of a chunk that starts
+    from state s has state s + (m + 1) * GOLDEN: a whole chunk is one int
+    with a draw in each 128-bit lane, and each operation of the output step
+    runs once on the whole int.  Every lane is masked back to 64 bits before
+    each multiply, so a 64 x 64-bit product fits its lane.  Whatever the
+    draws used, the state advances two draws per step, channel 1 first.
 
-    Channel i realizes d = alpha + ell * chi from draw 2 k + i - 1 of step k.
-    A Bernoulli channel reads the little-endian bytes: the top byte of each
-    word (bit 63) indexes a table of alpha + ell * -1.0 and alpha + ell * 1.0.
-    Uniform samples: for w = z >> 11, uniform_m1p1(z) = w * 2^-52 - 1 =
+    Only draws whose value can be read are computed.  A channel is constant
+    when alpha + ell * -1.0 and alpha + ell * 1.0 are one double, the sign of
+    zero included (`ControlChannel.constant_value`), and it is read as
+    `repeat` of that double.  Every chi in [-1, 1], under both noise laws,
+    realizes it: ell * chi and alpha + ell * chi round monotonically in chi,
+    so the value lies between the two equal ends, and a sum is -0.0 only
+    when both terms are, which with alpha = -0.0 makes the ends differ.
+
+    When every channel that is not constant is Bernoulli, a step's value
+    depends only on the two sign bits b_i (bit 63 of draw i, chi_i = 2 b_i -
+    1), so it is one of four: table[b1 + 2 b2].  A channel is drawn only when
+    flipping its bit changes some entry, entries compared bit for bit.  The
+    last xor-shift, z ^= z >> 31, cannot change bit 63 of a 64-bit lane, and
+    bits 64 and up of the last product are never read, so both are skipped.
+    With both channels drawn, t = (z >> 63) & ones holds b in bit 0 of each
+    lane, and t | t >> 127 moves b2 beside b1, so byte 32 j of it is the
+    index of step j; the mask keeps bits of the next lane out of that byte.
+    With one channel i drawn, each step has one lane, drawn at state
+    s + (2 j + i + 1) * GOLDEN, and its top byte indexes a 256-entry table.
+
+    Otherwise each drawn channel has its own lane and is read apart, as a
+    table of its two values indexed by the top byte (Bernoulli) or through
+    the uniform sample: for w = z >> 11, uniform_m1p1(z) = w * 2^-52 - 1 =
     f - 2 + (w >> 52), where f = 1 + (w mod 2^52) * 2^-52 in [1, 2) is the
     double with the exponent bits of 1.0 and mantissa w mod 2^52; f - 1 and
     f - 2 are exact (Sterbenz), so the sample is the reference value bit for
     bit.  The f are read as native doubles, so their bytes are laid out in
     host order, and on a big-endian host the view is reversed to put lane 0's
     low word first.  A uniform channel with alpha = 0 and ell = 1 is chi
-    itself, which is never -0.0, so `noise_pairs` skips its affine map.
+    itself, which is never -0.0, so its affine map is skipped.
     """
-    uniform = NoiseDist.UNIFORM_M1P1 in (ch1.dist, ch2.dist)
-    channels = [
-        (ch, (ch.alpha + ch.ell * -1.0,) * 128 + (ch.alpha + ch.ell * 1.0,) * 128)
-        for ch in (ch1, ch2)
-    ]
+    channels = (ch1, ch2)
+    held = [ch.constant_value for ch in channels]
+
+    def at(chi1: float, chi2: float) -> object:
+        d = (ch1.alpha + ch1.ell * chi1, ch2.alpha + ch2.ell * chi2)
+        return d if value is None else value(*d)
+
+    table = None
+    if all(h is not None or ch.dist is NoiseDist.BERNOULLI_PM1 for h, ch in zip(held, channels)):
+        table = (at(-1.0, -1.0), at(1.0, -1.0), at(-1.0, 1.0), at(1.0, 1.0))
+        drawn = [
+            any(not _same(table[k], table[k | bit]) for k in range(4) if not k & bit)
+            for bit in (1, 2)
+        ]
+        if not any(drawn):
+            yield repeat(table[0])
+            return
+        if not all(drawn):
+            bit = 1 if drawn[0] else 2
+            table = (table[0],) * 128 + (table[bit],) * 128
+    else:
+        drawn = [h is None for h in held]
+        sides = [
+            (ch.alpha + ch.ell * -1.0,) * 128 + (ch.alpha + ch.ell * 1.0,) * 128 for ch in channels
+        ]
+    width = sum(drawn)  # lanes a step
+    first = drawn.index(True)  # step j's first lane is draw 2 j + first
     pairs = _FIRST_CHUNK
     while True:
-        ones, ramp, low, mantissa, exponent = _lanes(pairs)
-        z = (s * ones + ramp) & low
+        ones, ramp, low, mantissa, exponent = _lanes(pairs, width)
+        z = ((s + first * _GOLDEN) * ones + ramp) & low
         z = ((z ^ (z >> 30)) & low) * _MIX1 & low
-        z = ((z ^ (z >> 27)) & low) * _MIX2 & low
-        z ^= z >> 31
-        size = 32 * pairs
-        raw = z.to_bytes(size, "little")
-        if uniform:
+        z = ((z ^ (z >> 27)) & low) * _MIX2
+        if table is not None and width == 2:
+            t = (z >> 63) & ones
+            yield map(table.__getitem__, (t | t >> 127).to_bytes(32 * pairs, "little")[::32])
+        elif table is not None:
+            yield map(table.__getitem__, z.to_bytes(16 * pairs, "little")[7::16])
+        else:
+            z &= low
+            z ^= z >> 31
+            size = 16 * width * pairs
+            raw = z.to_bytes(size, "little")
             f_bits = ((z >> 11) & mantissa) | exponent
             f = memoryview(f_bits.to_bytes(size, sys.byteorder)).cast("d")
             if sys.byteorder == "big":
                 f = f[::-1]  # lane 0 last, each lane's low word second
-        ds = []
-        for lane, (ch, bernoulli) in enumerate(channels):
-            top = raw[16 * lane + 7 :: 32]
-            if ch.dist is NoiseDist.BERNOULLI_PM1:
-                d = map(bernoulli.__getitem__, top)
-            else:
-                d = map(sub, f[2 * lane :: 4], map(_ONE_OR_TWO.__getitem__, top))
-                if ch.alpha != 0.0 or ch.ell != 1.0:
-                    d = map(add, repeat(ch.alpha), map(mul, repeat(ch.ell), d))
-            ds.append(d)
-        yield zip(*ds)
+            ds = []
+            for i, (ch, h) in enumerate(zip(channels, held)):
+                if h is not None:
+                    ds.append(repeat(h))
+                    continue
+                lane = i if width == 2 else 0
+                top = raw[16 * lane + 7 :: 16 * width]
+                if ch.dist is NoiseDist.BERNOULLI_PM1:
+                    d = map(sides[i].__getitem__, top)
+                else:
+                    d = map(sub, f[2 * lane :: 2 * width], map(_ONE_OR_TWO.__getitem__, top))
+                    if ch.alpha != 0.0 or ch.ell != 1.0:
+                        d = map(add, repeat(ch.alpha), map(mul, repeat(ch.ell), d))
+                ds.append(d)
+            yield zip(*ds) if value is None else map(value, *ds)
         s = (s + 2 * pairs * _GOLDEN) & _M64
         pairs = min(2 * pairs, _CHUNK_CAP)
 
@@ -237,6 +323,16 @@ class ControlChannel:
             raise InvalidControl(f"channel mean must lie in [0, 1), got {self.alpha}")
         if not (math.isfinite(self.ell) and self.ell >= 0.0):
             raise InvalidControl(f"noise amplitude must be >= 0, got {self.ell}")
+
+    @property
+    def constant_value(self) -> Optional[float]:
+        """The intensity every draw realizes, or None when draws can differ.
+
+        The channel is constant when alpha + ell * -1.0 and alpha + ell * 1.0
+        are one double, the sign of zero included; see `_noise_chunks`.
+        """
+        lo, hi = self.alpha + self.ell * -1.0, self.alpha + self.ell * 1.0
+        return lo if _same(lo, hi) else None
 
     @property
     def admissible(self) -> bool:
@@ -293,14 +389,14 @@ def control_pairs(schedule: ControlSchedule, s: int) -> Iterator[tuple[float, fl
     s is the raw SplitMix64 state of a Stochastic schedule's noise stream;
     Constant and Sequence schedules ignore it.  Every pair equals the one
     `control_at_step` realizes, the scalar reference; a Stochastic schedule
-    reads `_noise_chunks`, two draws per step, so a zero amplitude still
-    consumes its draws.
+    reads `step_values`, whose stream advances two draws per step even where
+    a channel is constant and its draws are not computed.
     """
     if isinstance(schedule, Constant):
         return repeat((schedule.d1, schedule.d2))
     if isinstance(schedule, Sequence):
         return cycle(schedule.pairs)
-    return chain.from_iterable(_noise_chunks(s, schedule.ch1, schedule.ch2))
+    return step_values(s, schedule.ch1, schedule.ch2)
 
 
 def control_at_step(

@@ -26,7 +26,8 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice, tee
+from itertools import accumulate, islice, tee
+from operator import truediv
 from typing import Callable, Optional, Sequence as Seq, Union
 
 from .control import (
@@ -37,12 +38,11 @@ from .control import (
     Stochastic,
     control_pairs,
     next_rand,
-    noise_pairs,
     stream_for_trial,
     uniform_m1p1,
 )
 from .maps import Branch, DomainError, MapKind, MapParams, Point2, fixed_point
-from .stability import NuModel
+from .stability import NuModel, log_nu_draws
 
 #: Tail window (points per cell) used when measuring bifurcation collapse.
 COLLAPSE_WINDOW = 50
@@ -278,10 +278,12 @@ def _run_raw(
     neg_bound, neg_tol = -bound, -conv_tol
     x, y = cfg.initial.x, cfg.initial.y
 
-    if isinstance(schedule, Stochastic) and schedule.ch1.ell == 0.0 and schedule.ch2.ell == 0.0:
-        # Zero amplitudes realize constant controls; skipping the draws is
+    if isinstance(schedule, Stochastic):
+        # Constant channels realize a constant pair; skipping the draws is
         # unobservable because each run owns its stream exclusively.
-        schedule = Constant(schedule.ch1.alpha, schedule.ch2.alpha)
+        d1, d2 = schedule.ch1.constant_value, schedule.ch2.constant_value
+        if d1 is not None and d2 is not None:
+            schedule = Constant(d1, d2)
     constant = isinstance(schedule, Constant)
     pairs = control_pairs(schedule, rng_s)
     if keep_controls:
@@ -656,18 +658,13 @@ def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
     """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
 
     The final entry converges to the model's expected log by the law of
-    large numbers; the draws come from `noise_pairs`, the draws the
-    trajectory engine reads through `control_pairs`.
+    large numbers; the draws are those of `stability.log_nu_draws`, which
+    `mc_log_nu` reads too.  The running sum adds left to right from 0.0, as
+    a loop of `+=` does.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not model.positive:
         raise DomainError(f"nu can reach zero: need c > |p| + |q|, got c={model.c}")
-    c, p, q = model.c, model.p, model.q
-    noise = noise_pairs(stream_for_trial(seed, 0).s, model.dist1, model.dist2)
-    out = []
-    total = 0.0
-    for k, (chi1, chi2) in zip(range(1, n + 1), noise):
-        total += math.log(c + p * chi1 + q * chi2)
-        out.append(total / k)
-    return out
+    totals = accumulate(islice(log_nu_draws(model, seed), n), initial=0.0)
+    return list(map(truediv, islice(totals, 1, None), range(1, n + 1)))

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from typing import Callable, Optional
+from operator import add, mul
+from typing import Callable, Iterator, Optional
 
-from .control import ControlChannel, NoiseDist, noise_pairs, stream_for_trial
+from .control import ControlChannel, NoiseDist, step_values, stream_for_trial
 from .linalg2 import Matrix2, NormKind, induced_norm
 from .maps import Branch, DomainError, MapKind, MapParams, fixed_point, lipschitz_matrix
 
@@ -281,23 +283,40 @@ def _explog_quadrature(model: NuModel, tol: float = 1e-10) -> float:
     return 0.5 * _adaptive_simpson(inner, -1.0, 1.0, tol)
 
 
+def log_nu_draws(model: NuModel, seed: int) -> Iterator[float]:
+    """Endless i.i.d. samples ln(c + p*chi_1 + q*chi_2) on trial stream 0 of `seed`.
+
+    The (chi_1, chi_2) are the draws of `noise_pairs`, two per sample.  The
+    model must be positive (c > |p| + |q|): then a chi whose weight is
+    +-0.0 only adds a zero to a positive sum, so it is held at 0.0 and not
+    drawn.  Under Bernoulli noise a sample is one of four values, read by
+    table lookup.
+    """
+    c, p, q = model.c, model.p, model.q
+    ch1, ch2 = (
+        ControlChannel(0.0, 1.0 if w else 0.0, dist)
+        for w, dist in ((p, model.dist1), (q, model.dist2))
+    )
+    return step_values(
+        stream_for_trial(seed, 0).s, ch1, ch2, lambda chi1, chi2: math.log(c + p * chi1 + q * chi2)
+    )
+
+
 def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of ln nu.
 
-    Uses trial stream 0 of `seed` and draws from `noise_pairs`, the draws
-    the trajectory engine reads through `control_pairs`.
+    Reads `log_nu_draws`, the samples `sim.lln_average` reads too.  Both
+    sums add left to right from 0.0, as a loop of `+=` does, a block of
+    samples at a time so that memory stays flat.
     """
     _check_model(model)
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    c, p, q = model.c, model.p, model.q
-    noise = noise_pairs(stream_for_trial(seed, 0).s, model.dist1, model.dist2)
-    total = 0.0
-    total_sq = 0.0
-    for chi1, chi2 in islice(noise, samples):
-        v = math.log(c + p * chi1 + q * chi2)
-        total += v
-        total_sq += v * v
+    draws = islice(log_nu_draws(model, seed), samples)
+    total = total_sq = 0.0
+    for block in iter(lambda: list(islice(draws, 4096)), []):
+        total = reduce(add, block, total)
+        total_sq = reduce(add, map(mul, block, block), total_sq)
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var)

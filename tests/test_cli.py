@@ -382,13 +382,22 @@ def test_bifurcation_rows_bytes():
 
 
 # SHA-256 of `repro <preset> --seed 0` for the sweep presets that the
-# benchmark's golden digests do not cover: Lozi with y-control, and uniform
-# noise on both maps.
+# benchmark's golden digests do not cover: Lozi with y-control, Lozi under
+# Bernoulli noise, and uniform noise on both maps.
 _SWEEP_DIGESTS = {
     "fig2b": "65ede986b1667c1c9dd1c926808c26087dbe4787e298f3395a6f1bf53a5ad6aa",
     "fig8c": "8ba756088416ec00f5063203f6778ca09abfe5dadaecd4d91b620ebdae53ad65",
+    "fig9b": "dfff5724167306a0a5b941e7597db35c53b703ecfcb4811e5dfbb228ac1fc9d5",
     "fig9c": "3d8aa64ebca9b94b2f45522b0dbe9f97e0b6dfc162fd0b1c2d4a9df9a3ed3c94",
 }
+
+
+def test_signed_zero_mean_with_zero_amplitude_is_not_constant():
+    # -0.0 + 0.0 * chi is -0.0 at chi = -1 but 0.0 at chi = +1
+    text = cli.render(["simulate", "--map", "henon", "--alpha1", "-0", "--ell1", "0",
+                       "--x0", "0.3", "--y0", "0.1", "--steps", "700"])
+    d1 = [line.split(",")[3] for line in text.splitlines()[4:]]
+    assert len(d1) == 700 and set(d1) == {"-0.0", "0.0"}
 
 
 @pytest.mark.parametrize("preset", sorted(_SWEEP_DIGESTS))

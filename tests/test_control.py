@@ -109,10 +109,12 @@ def test_noise_pairs_flatten_to_next_rand_sequence(s, dist1, dist2):
 
 
 _intensity = st.floats(0.0, 1.0, exclude_max=True)
+# Edges of the decision to draw a channel: signed zeros, whose sums differ
+# only in the sign of zero, and amplitudes below half an ulp of most alphas.
 _channel = st.builds(
     ControlChannel,
-    _intensity,
-    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0.0, -0.0]), _intensity),
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300]), st.floats(0.0, 1.0)),
     st.sampled_from(list(NoiseDist)),
 )
 _schedule = st.one_of(

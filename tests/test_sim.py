@@ -120,6 +120,23 @@ def test_escape_detected_and_terminal(henon_std):
     assert len(traj.points) == traj.steps_run + 1  # nothing after the escape
 
 
+@pytest.mark.parametrize("alpha1", [0.0, -0.0])
+@pytest.mark.parametrize("ell1", [0.0, -0.0])
+@pytest.mark.parametrize("alpha2", [0.0, -0.0])
+@pytest.mark.parametrize("ell2", [0.0, -0.0])
+def test_signed_zero_channels_match_control_at_step(henon_std, alpha1, ell1, alpha2, ell2):
+    # alpha = -0.0 realizes -0.0 at chi = -1 but 0.0 at chi = +1, so such a
+    # channel is not constant even at ell = 0.
+    schedule = Stochastic(ControlChannel(alpha1, ell1), ControlChannel(alpha2, ell2))
+    cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=0)
+    traj = run_trajectory(henon_std, PLUS, schedule, cfg)
+    assert traj.steps_run == 700
+    rng = stream_for_trial(0, 0)
+    for n, pair in enumerate(traj.controls):
+        rng, d1, d2 = control_at_step(schedule, n, rng)
+        assert repr(pair) == repr((d1, d2)), n
+
+
 def test_sequence_schedule_cycles(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=900, seed=0)
     seq = Sequence(((0.7, 0.0), (0.65, 0.1)))
@@ -681,11 +698,12 @@ def _reference_log_nu(model, n, seed):
     return out
 
 
+_weight = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.49, 0.49))
 _models = st.builds(
     lambda c, fp, fq, d1, d2: NuModel(c, fp * c, fq * c, d1, d2, True),
     st.floats(0.1, 3.0),
-    st.floats(-0.49, 0.49),
-    st.floats(-0.49, 0.49),
+    _weight,
+    _weight,
     st.sampled_from(list(NoiseDist)),
     st.sampled_from(list(NoiseDist)),
 )
