@@ -23,11 +23,12 @@ RNG state is a value passed explicitly; there is no shared mutable state.
 
 That contract is all a consumer sees.  `noise_pairs`, the sampler of
 (chi_1, chi_2), `control_pairs`, the realized control pairs of a schedule
-that the trajectory engine reads, and `step_values`, which both read, take
-two draws per step and generate them word-parallel in `_noise_chunks`: a
-chunk of them is one int with a 128-bit lane per draw, and each step of the
-recurrence above runs once on the whole chunk.  Only draws whose value can
-be read are computed.  A channel whose realized values at chi = -1 and +1
+or, for the trajectory engine, their step coefficients (d1 * tx, 1 - d1,
+d2 * ty, 1 - d2), and `step_values`, which both read, take two draws per
+step and generate them word-parallel in `_noise_chunks`: a chunk of them
+is one int with a 128-bit lane per draw, and each step of the recurrence
+above runs once on the whole chunk.  Only draws whose value can be read are
+computed.  A channel whose realized values at chi = -1 and +1
 are one double is constant and never drawn.  When the drawn channels are
 Bernoulli, a step's value is one of four, looked up by the two sign bits
 folded into one byte.  The one-word-at-a-time `_sm64_next` (with
@@ -41,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from itertools import chain, cycle, repeat
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional, Union
@@ -139,6 +140,7 @@ def step_values(
     ch1: ControlChannel,
     ch2: ControlChannel,
     value: Optional[Callable[[float, float], object]] = None,
+    target: Optional[Point2] = None,
 ) -> Iterator:
     """Endless values of steps 0, 1, 2, ... of two channels drawn from state s.
 
@@ -146,8 +148,21 @@ def step_values(
     and yields value(d1, d2), or the pair (d1, d2) when value is None.  When
     the drawn channels are Bernoulli, value is called only to build a table
     of the four possible steps, so it must depend on its arguments alone.
+    With a target (tx, ty), value is not read and step k yields the
+    engine's coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) instead,
+    with no Python call per step.
     """
-    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value))
+    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value, target))
+
+
+def _coefficients(d1: float, d2: float, target: Point2) -> tuple[float, float, float, float]:
+    """(d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) for the target (tx, ty).
+
+    With them the controlled step `vmtoc_step`, x' = d1 * tx + (1.0 - d1) *
+    F1, is x' = c1 + g1 * F1: the same operations in the same order, so the
+    same bits.
+    """
+    return (d1 * target.x, 1.0 - d1, d2 * target.y, 1.0 - d2)
 
 
 # Chunk sizes in pairs: the first chunk, doubled up to the cap, so a run that
@@ -196,6 +211,7 @@ def _noise_chunks(
     ch1: ControlChannel,
     ch2: ControlChannel,
     value: Optional[Callable[[float, float], object]],
+    target: Optional[Point2],
 ) -> Iterator[Iterator]:
     """Successive chunks of step values, as `step_values` describes them.
 
@@ -214,12 +230,13 @@ def _noise_chunks(
     so the value lies between the two equal ends, and a sum is -0.0 only
     when both terms are, which with alpha = -0.0 makes the ends differ.
 
-    When every channel that is not constant is Bernoulli, a step's value
-    depends only on the two sign bits b_i (bit 63 of draw i, chi_i = 2 b_i -
-    1), so it is one of four: table[b1 + 2 b2].  A channel is drawn only when
-    flipping its bit changes some entry, entries compared bit for bit.  The
-    last xor-shift, z ^= z >> 31, cannot change bit 63 of a 64-bit lane, and
-    bits 64 and up of the last product are never read, so both are skipped.
+    When every channel that is not constant is Bernoulli, a step's pair
+    (d1, d2) depends only on the two sign bits b_i (bit 63 of draw i, chi_i =
+    2 b_i - 1), so it is one of four, and so is its value: table[b1 + 2 b2].
+    A channel is drawn only when flipping its bit changes some pair, pairs
+    compared bit for bit.  The last xor-shift, z ^= z >> 31, cannot change
+    bit 63 of a 64-bit lane, and bits 64 and up of the last product are
+    never read, so both are skipped.
     With both channels drawn, t = (z >> 63) & ones holds b in bit 0 of each
     lane, and t | t >> 127 moves b2 beside b1, so byte 32 j of it is the
     index of step j; the mask keeps bits of the next lane out of that byte.
@@ -235,14 +252,19 @@ def _noise_chunks(
     bit.  The f are read as native doubles, so their bytes are laid out in
     host order, and on a big-endian host the view is reversed to put lane 0's
     low word first.  A uniform channel with alpha = 0 and ell = 1 is chi
-    itself, which is never -0.0, so its affine map is skipped.
+    itself, which is never -0.0, so its affine map is skipped.  With a
+    target, a drawn channel's values of the chunk are kept in a list, and
+    map(mul) and map(sub) over it give d * t and 1.0 - d; a constant channel
+    gives `repeat` of its two coefficients.
     """
     channels = (ch1, ch2)
     held = [ch.constant_value for ch in channels]
+    if target is not None:
+        value = partial(_coefficients, target=target)
+        goals = (target.x, target.y)
 
-    def at(chi1: float, chi2: float) -> object:
-        d = (ch1.alpha + ch1.ell * chi1, ch2.alpha + ch2.ell * chi2)
-        return d if value is None else value(*d)
+    def at(chi1: float, chi2: float) -> tuple[float, float]:
+        return (ch1.alpha + ch1.ell * chi1, ch2.alpha + ch2.ell * chi2)
 
     table = None
     if all(h is not None or ch.dist is NoiseDist.BERNOULLI_PM1 for h, ch in zip(held, channels)):
@@ -251,6 +273,8 @@ def _noise_chunks(
             any(not _same(table[k], table[k | bit]) for k in range(4) if not k & bit)
             for bit in (1, 2)
         ]
+        if value is not None:
+            table = tuple(value(*d) for d in table)
         if not any(drawn):
             yield repeat(table[0])
             return
@@ -284,10 +308,10 @@ def _noise_chunks(
             f = memoryview(f_bits.to_bytes(size, sys.byteorder)).cast("d")
             if sys.byteorder == "big":
                 f = f[::-1]  # lane 0 last, each lane's low word second
-            ds = []
+            cols = []  # one iterator per value of a step
             for i, (ch, h) in enumerate(zip(channels, held)):
                 if h is not None:
-                    ds.append(repeat(h))
+                    cols += [repeat(h)] if target is None else [repeat(h * goals[i]), repeat(1.0 - h)]
                     continue
                 lane = i if width == 2 else 0
                 top = raw[16 * lane + 7 :: 16 * width]
@@ -297,8 +321,12 @@ def _noise_chunks(
                     d = map(sub, f[2 * lane :: 2 * width], map(_ONE_OR_TWO.__getitem__, top))
                     if ch.alpha != 0.0 or ch.ell != 1.0:
                         d = map(add, repeat(ch.alpha), map(mul, repeat(ch.ell), d))
-                ds.append(d)
-            yield zip(*ds) if value is None else map(value, *ds)
+                if target is None:
+                    cols.append(d)
+                else:
+                    d = list(d)
+                    cols += [map(mul, d, repeat(goals[i])), map(sub, repeat(1.0), d)]
+            yield zip(*cols) if value is None or target is not None else map(value, *cols)
         s = (s + 2 * pairs * _GOLDEN) & _M64
         pairs = min(2 * pairs, _CHUNK_CAP)
 
@@ -383,20 +411,27 @@ ControlSchedule = Union[Constant, Sequence, Stochastic]
 _UNIT = {dist: ControlChannel(0.0, 1.0, dist) for dist in NoiseDist}
 
 
-def control_pairs(schedule: ControlSchedule, s: int) -> Iterator[tuple[float, float]]:
+def control_pairs(
+    schedule: ControlSchedule, s: int, target: Optional[Point2] = None
+) -> Iterator[tuple[float, ...]]:
     """Endless realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
 
     s is the raw SplitMix64 state of a Stochastic schedule's noise stream;
     Constant and Sequence schedules ignore it.  Every pair equals the one
     `control_at_step` realizes, the scalar reference; a Stochastic schedule
     reads `step_values`, whose stream advances two draws per step even where
-    a channel is constant and its draws are not computed.
+    a channel is constant and its draws are not computed.  With a target
+    (tx, ty), each step yields instead the coefficients (d1 * tx, 1.0 - d1,
+    d2 * ty, 1.0 - d2) of its pair, the stream the trajectory engine reads:
+    a Constant schedule repeats one tuple, a Sequence cycles through one
+    tuple per pair.
     """
-    if isinstance(schedule, Constant):
-        return repeat((schedule.d1, schedule.d2))
-    if isinstance(schedule, Sequence):
-        return cycle(schedule.pairs)
-    return step_values(s, schedule.ch1, schedule.ch2)
+    if isinstance(schedule, Stochastic):
+        return step_values(s, schedule.ch1, schedule.ch2, target=target)
+    pairs = ((schedule.d1, schedule.d2),) if isinstance(schedule, Constant) else schedule.pairs
+    if target is not None:
+        pairs = tuple(_coefficients(d1, d2, target) for d1, d2 in pairs)
+    return repeat(pairs[0]) if isinstance(schedule, Constant) else cycle(pairs)
 
 
 def control_at_step(

@@ -11,13 +11,16 @@ time from the top of the grid down and stops at the first alpha that has
 not collapsed.
 
 One engine loop, `_run_raw`, serves every experiment.  It reads the
-schedule's realized control pairs from one stream, `control.control_pairs`,
-with no per-step branch on the schedule type, and records no controls; only
-`run_trajectory` keeps them, from a `tee` of the same stream.  It returns
-raw (x, y) tuples; only `run_trajectory` builds `Point2` points and
-classifies the tail, while sweep cells and Monte Carlo trials read just the
-online outcome.  A run under a constant control pair stops once its state
-repeats bit for bit and replays the cycle, with identical output.
+coefficients (d * t, 1 - d) of the schedule's realized control pairs from
+one stream, `control.control_pairs`, with no per-step branch on the
+schedule type, and records no controls; `run_trajectory` reads its controls
+after the loop from a fresh stream of the same schedule, cut to the steps
+run.  It returns raw (x, y) tuples; only `run_trajectory` builds `Point2`
+points and classifies the tail.  Sweep cells and Monte Carlo trials record
+only their tail, the states of the last record_tail steps (or the final
+state of a run that stopped early), and read just the online outcome.  A
+run under a constant control pair stops once its state repeats bit for bit
+and replays the cycle, with identical output.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import accumulate, islice, tee
+from dataclasses import dataclass
+from itertools import accumulate, islice
 from operator import truediv
 from typing import Callable, Optional, Sequence as Seq, Union
 
@@ -40,6 +43,7 @@ from .control import (
     next_rand,
     stream_for_trial,
     uniform_m1p1,
+    vmtoc_step,
 )
 from .maps import Branch, DomainError, MapKind, MapParams, Point2, fixed_point
 from .stability import NuModel, log_nu_draws
@@ -249,34 +253,38 @@ def _run_raw(
     target: Point2,
     schedule: ControlSchedule,
     cfg: SimConfig,
+    start: Point2,
     rng_s: int,
     record: str,
-    keep_controls: bool = False,
-) -> tuple[Seq[tuple[float, float]], Seq[tuple[float, float]], Optional[Outcome], int]:
-    """Engine core: (states, controls, online outcome or None, steps run).
+) -> tuple[Seq[tuple[float, float]], Optional[Outcome], int]:
+    """Engine core: (states, online outcome or None, steps run) of a run from start.
 
-    One loop reads the realized pairs of `control_pairs(schedule, rng_s)`;
-    it keeps state in scalars and its arithmetic matches vmtoc_step.  States
-    are raw (x, y) tuples, recorded as `Trajectory.points` describes.  The
-    loop records no controls: with keep_controls a `tee` of the same stream
-    gives the pairs of the steps run, aligned with the states as
-    `Trajectory.controls` describes, and otherwise controls is empty.  The
-    online outcome is Escaped or Converged; None means the tail is still to
-    be classified.
+    One loop reads the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
+    of the realized pairs, `control_pairs(schedule, rng_s, target)`, and
+    steps x' = c1 + g1 * F1, y' = c2 + g2 * F2: the operations of
+    vmtoc_step in its order.  It keeps state in scalars and records raw
+    (x, y) tuples.  With record="all" the states are a list from start on.
+    With record="tail", the one batch runs need, only states from step
+    steps - record_tail + 1 on are recorded, at most record_tail of them,
+    and a run that stops early records its final state.  The online outcome
+    is Escaped or Converged; None means the tail is still to be classified.
 
     Under a constant control pair the next state is a pure function of the
     current one, so once a state repeats bit for bit the rest of the run is
     known.  Brent's cycle detection (Brent 1980, BIT 20:176-184) keeps one
     saved state, moved to the current one at steps 0, 1, 3, 7, ...; a cycle
-    whose period fits in record_tail ends the loop, and the remaining steps
-    are replayed from the recorded cycle.
+    whose period fits in record_tail ends the loop.  The cycle is stepped
+    again from the current state by vmtoc_step, since in tail mode it may
+    precede the recorded window, and the remaining steps are replayed from
+    it.
     """
     henon = params.kind is MapKind.HENON
     a, b = params.a, params.b
     tx, ty = target.x, target.y
     bound, conv_tol = ESCAPE_BOUND, cfg.conv_tol
     neg_bound, neg_tol = -bound, -conv_tol
-    x, y = cfg.initial.x, cfg.initial.y
+    x, y = start.x, start.y
+    steps, tail = cfg.steps, cfg.record_tail
 
     if isinstance(schedule, Stochastic):
         # Constant channels realize a constant pair; skipping the draws is
@@ -285,15 +293,14 @@ def _run_raw(
         if d1 is not None and d2 is not None:
             schedule = Constant(d1, d2)
     constant = isinstance(schedule, Constant)
-    pairs = control_pairs(schedule, rng_s)
-    if keep_controls:
-        pairs, kept = tee(pairs)
 
     tail_mode = record == "tail"
     if tail_mode:
-        rec: deque | list = deque(maxlen=cfg.record_tail)
+        rec: deque | list = deque(maxlen=tail)
+        first = steps - tail + 1  # the first step recorded
     else:
         rec = [(x, y)]
+        first = 1
 
     # Brent's saved state and its step; NaN never compares equal.
     sx = sy = math.nan
@@ -303,7 +310,8 @@ def _run_raw(
     outcome: Optional[Outcome] = None
     in_tol = 0
     n = 0
-    for n, (d1, d2) in zip(range(1, cfg.steps + 1), pairs):
+    coefs = control_pairs(schedule, rng_s, target)
+    for n, (c1, g1, c2, g2) in zip(range(1, steps + 1), coefs):
         if constant:
             # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
             # signs of zero are compared too.
@@ -314,7 +322,7 @@ def _run_raw(
                 and math.copysign(1.0, y) == math.copysign(1.0, sy)
             ):
                 period = n - 1 - saved_n
-                if period <= cfg.record_tail:
+                if period <= tail:
                     break
                 period = 0
                 sx = sy = math.nan  # the shortest period is too long: stop looking
@@ -327,9 +335,10 @@ def _run_raw(
         else:
             fx = y + 1.0 - a * abs(x)
         fy = b * x
-        x = d1 * tx + (1.0 - d1) * fx
-        y = d2 * ty + (1.0 - d2) * fy
-        rec.append((x, y))
+        x = c1 + g1 * fx
+        y = c2 + g2 * fy
+        if n >= first:
+            rec.append((x, y))
         # The chained comparisons are abs(x) <= bound and abs(x - tx) <
         # conv_tol for every double, inf included; a NaN state escapes.
         if not (neg_bound <= x <= bound and neg_bound <= y <= bound):
@@ -343,13 +352,19 @@ def _run_raw(
         else:
             in_tol = 0
 
+    if outcome is not None and n < first:
+        rec.append((x, y))
     if period:
-        # States done-period+1..done form the cycle; state m > done is
+        # States done+1..done+period form the cycle; state m > done is
         # cycle[(m - done - 1) % period].  Within period + CONV_WINDOW more
         # steps the in_tol count either reaches CONV_WINDOW or never will.
         done = n - 1
-        cycle = list(rec)[-period:]
-        n = cfg.steps
+        p = Point2(x, y)
+        cycle = []
+        for _ in range(period):
+            p = vmtoc_step(params, target, schedule.d1, schedule.d2, p)
+            cycle.append((p.x, p.y))
+        n = steps
         for m in range(done + 1, min(n, done + period + CONV_WINDOW) + 1):
             cx, cy = cycle[(m - done - 1) % period]
             if neg_tol < cx - tx < conv_tol and neg_tol < cy - ty < conv_tol:
@@ -360,12 +375,9 @@ def _run_raw(
                     break
             else:
                 in_tol = 0
-        first = max(done + 1, n - cfg.record_tail + 1) if tail_mode else done + 1
-        rec.extend(cycle[(m - done - 1) % period] for m in range(first, n + 1))
-    controls: Seq[tuple[float, float]] = ()
-    if keep_controls:
-        controls = deque(islice(kept, n), maxlen=cfg.record_tail if tail_mode else None)
-    return rec, controls, outcome, n
+        fill = max(done + 1, n - tail + 1) if tail_mode else done + 1
+        rec.extend(cycle[(m - done - 1) % period] for m in range(fill, n + 1))
+    return rec, outcome, n
 
 
 def _tail_converged(
@@ -404,16 +416,15 @@ def run_trajectory(
     if record not in ("all", "tail"):
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
     target = fixed_point(params, branch)
-    rec, controls, outcome, n = _run_raw(
-        params, target, schedule, cfg, stream_for_trial(cfg.seed, 0).s, record,
-        keep_controls=True,
-    )
-    pts = list(rec)
+    s = stream_for_trial(cfg.seed, 0).s
+    rec, outcome, n = _run_raw(params, target, schedule, cfg, cfg.initial, s, "all")
     if outcome is None:
-        outcome = _classify_points(pts, n, target, cfg)
+        outcome = _classify_points(rec, n, target, cfg)
+    # keep states first..n and the pairs that produced states max(first, 1)..n
+    first = 0 if record == "all" else max(n - cfg.record_tail, 0) + 1
     return Trajectory(
-        points=[Point2(px, py) for px, py in pts],
-        controls=list(controls),
+        points=[Point2(px, py) for px, py in islice(rec, first, None)],
+        controls=list(islice(control_pairs(schedule, s), max(first - 1, 0), n)),
         outcome=outcome,
         steps_run=n,
     )
@@ -432,9 +443,8 @@ def _cell_tail(
     A converged cell repeats its final state record_tail times: that is its
     limit set.
     """
-    rec, _, outcome, n = _run_raw(
-        params, target, schedule, replace(cfg, initial=init),
-        stream_for_trial(cfg.seed, stream).s, "tail",
+    rec, outcome, n = _run_raw(
+        params, target, schedule, cfg, init, stream_for_trial(cfg.seed, stream).s, "tail"
     )
     if isinstance(outcome, Escaped):
         return None
@@ -642,8 +652,7 @@ def mc_convergence(
                 bx.x_lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (bx.x_hi - bx.x_lo),
                 bx.y_lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (bx.y_hi - bx.y_lo),
             )
-        trial_cfg = replace(cfg, initial=init)
-        rec, _, outcome, n = _run_raw(params, target, schedule, trial_cfg, rng.s, "tail")
+        rec, outcome, n = _run_raw(params, target, schedule, cfg, init, rng.s, "tail")
         return isinstance(outcome, Converged) or (
             outcome is None and _tail_converged(rec, n, target, cfg)
         )

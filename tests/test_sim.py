@@ -2,7 +2,7 @@ import math
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaosctl import (
     Bounded,
@@ -45,7 +45,7 @@ from chaosctl import (
     vmtoc_step,
     wilson_interval,
 )
-from chaosctl import cli, sim
+from chaosctl import cli, sim, verify
 from chaosctl.control import control_at_step, sample_noise
 from chaosctl.sim import CONV_WINDOW, ESCAPE_BOUND, _cell_tail, _classify_points
 from chaosctl.stability import NuModel, mc_log_nu
@@ -244,6 +244,42 @@ _CYCLE_CASES = {
 }
 
 
+#: Tail-mode runs of named cycle cases: name -> (case, steps, record_tail).
+#: Batch runs record only the last record_tail states, so a cycle found
+#: before that window must be stepped again.  test_cycle_cases_cover checks
+#: that each shows what its name says.
+_TAIL_CASES = {
+    "cycle-before-window": ("period-2", 600, 200),
+    "cycle-inside-window": ("period-2", 100, 60),
+    "converged-in-replay": ("converged-in-window", 400, 200),
+}
+
+
+def _tail_case(name):
+    case, steps, tail = _TAIL_CASES[name]
+    params, branch, (d1, d2), init, tol = _CYCLE_CASES[case]
+    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, transient=steps - tail,
+                    record_tail=tail)
+    return params, branch, Constant(d1, d2), cfg, "tail"
+
+
+def _brent_exit(points, max_period):
+    """Step n at whose start the engine's cycle detection ends the loop, or None.
+
+    Mirrors `_run_raw`: the saved state moves to state n - 1 at n = 1, 2, 4,
+    ...; a repeat with a longer period stops the search.
+    """
+    saved, save_at = None, 1
+    for n in range(1, len(points)):
+        if saved is not None and repr(points[n - 1]) == repr(points[saved]):
+            if n - 1 - saved <= max_period:
+                return n
+            saved, save_at = None, 0
+        if n == save_at:
+            saved, save_at = n - 1, 2 * n
+    return None
+
+
 def _first_repeat_period(points):
     """Period of the first bitwise repeat of a state, or None."""
     seen = {}
@@ -269,6 +305,18 @@ def test_cycle_cases_cover():
     points, _, outcome, n = runs["signed-zero"]
     assert points[0] == points[1] and repr(points[0]) != repr(points[1])
     assert repr(points[2]) == "(0.0, 0.0)" and outcome == Periodic(1)
+    exits = {}
+    for name in _TAIL_CASES:
+        params, branch, schedule, cfg, _ = _tail_case(name)
+        points, _, outcome, n = _reference_run(params, branch, schedule, cfg, "all")
+        exits[name] = _brent_exit(points, cfg.record_tail), cfg.steps - cfg.record_tail + 1, outcome
+    # the loop ends at the start of step `at`, before or after recording began
+    at, first, outcome = exits["cycle-before-window"]
+    assert at < first and outcome == Periodic(2)
+    at, first, outcome = exits["cycle-inside-window"]
+    assert first < at and outcome == Periodic(2)
+    at, first, outcome = exits["converged-in-replay"]
+    assert outcome == Converged(CONV_WINDOW) and at < CONV_WINDOW < first
 
 
 @st.composite
@@ -291,6 +339,9 @@ def _cycle_runs(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(run=_cycle_runs())
+@example(run=_tail_case("cycle-before-window"))
+@example(run=_tail_case("cycle-inside-window"))
+@example(run=_tail_case("converged-in-replay"))
 def test_cycle_exit_matches_step_reference(run):
     params, branch, schedule, cfg, record = run
     traj = run_trajectory(params, branch, schedule, cfg, record=record)
@@ -299,6 +350,16 @@ def test_cycle_exit_matches_step_reference(run):
     assert repr(traj.controls) == repr(controls)
     assert traj.outcome == outcome
     assert traj.steps_run == n
+    # a batch cell records only its tail, and steps a cycle found before it again
+    cell = _cell_tail(params, fixed_point(params, branch), schedule, cfg, cfg.initial, 0)
+    tail, _, outcome, _ = _reference_run(params, branch, schedule, cfg, "tail")
+    if isinstance(outcome, Escaped):
+        want = None
+    elif isinstance(outcome, Converged):
+        want = [tail[-1]] * cfg.record_tail
+    else:
+        want = tail
+    assert repr(cell) == repr(want)
 
 
 # Means and amplitudes this small keep both maps bounded from these starts, so
@@ -366,9 +427,9 @@ def test_raw_converged_decision_matches_classify_tail(
     if isinstance(outcome, Escaped):
         assert cell is None
     elif isinstance(outcome, Converged):
-        assert cell == [(traj.points[-1].x, traj.points[-1].y)] * tail
+        assert repr(cell) == repr([(traj.points[-1].x, traj.points[-1].y)] * tail)
     else:
-        assert cell == [(p.x, p.y) for p in traj.points]
+        assert repr(cell) == repr([(p.x, p.y) for p in traj.points])
     rep = mc_convergence(params, PLUS, schedule, PointSet((cfg.initial,)), 1, cfg)
     assert rep.converged == isinstance(outcome, Converged)
 
@@ -752,3 +813,10 @@ def test_lln_band_lozi_two_bernoulli(lozi_std):
     final = lln_average(m, n, seed=7)[-1]
     _, sd = mc_log_nu(m, 20_000, seed=3)
     assert abs(final - (-0.0016)) <= 4.0 * sd / math.sqrt(n) + 1e-5
+
+
+def test_verify_final_lln_mean_is_last_running_average():
+    # row 6f reads only the final mean of lln_average's draws
+    for model in verify._reference_models():
+        want = lln_average(model, 100_000, 7)[-1]
+        assert repr(verify._final_lln_mean(model, 100_000, 7)) == repr(want)
