@@ -272,15 +272,12 @@ def _args_line(args) -> str:
 
 
 def _config(args, initial: Point2) -> SimConfig:
-    """SimConfig for --steps: a 200-point tail after a 500-step transient,
-    each cut to fit a shorter run, the tail first."""
-    tail = min(200, args.steps)
+    """SimConfig for --steps: the tail is the last min(200, steps) states."""
     return SimConfig(
         initial=initial,
         steps=args.steps,
         seed=_seed(args),
-        transient=min(500, args.steps - tail),
-        record_tail=tail,
+        record_tail=min(200, args.steps),
     )
 
 

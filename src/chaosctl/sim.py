@@ -16,17 +16,17 @@ one stream, `control.control_pairs`, with no per-step branch on the
 schedule type, and records no controls; `run_trajectory` reads its controls
 after the loop from a fresh stream of the same schedule, cut to the steps
 run.  It returns raw (x, y) tuples; only `run_trajectory` builds `Point2`
-points and classifies the tail.  Sweep cells and Monte Carlo trials record
-only their tail, the states of the last record_tail steps (or the final
-state of a run that stopped early), and read just the online outcome.  A
-run under a constant control pair stops once its state repeats bit for bit
-and replays the cycle, with identical output.
+points and classifies the tail.  A run records all its states or only
+its tail: the states of its last record_tail steps, or the final state of
+a run that stopped before them.  Sweep cells, limit sets and Monte Carlo
+trials read the tail and the engine's outcome.  A run under a constant
+control pair stops once its state repeats bit for bit and replays the
+cycle, with identical output.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -72,13 +72,12 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run length, seed, and tail sizes for one experiment."""
+    """Run length, seed, convergence tolerance and tail size for one experiment."""
 
     initial: Point2
     steps: int
     seed: int = 0
     conv_tol: float = 1e-9
-    transient: int = 500
     record_tail: int = 200
 
     def __post_init__(self) -> None:
@@ -86,15 +85,15 @@ class SimConfig:
             raise ValueError(f"steps must be positive, got {self.steps}")
         if self.conv_tol <= 0.0:
             raise ValueError(f"conv_tol must be positive, got {self.conv_tol}")
-        if self.record_tail < 1:
-            raise ValueError(f"record_tail must be >= 1, got {self.record_tail}")
-        if self.transient < 0:
-            raise ValueError(f"transient must be >= 0, got {self.transient}")
-        if self.record_tail > self.steps - self.transient:
+        if not 1 <= self.record_tail <= self.steps:
             raise ValueError(
-                f"record_tail ({self.record_tail}) must fit after the transient "
-                f"({self.transient}) within steps ({self.steps})"
+                f"record_tail must be in [1, steps = {self.steps}], got {self.record_tail}"
             )
+
+    @property
+    def transient(self) -> int:
+        """Steps run before the tail: steps - record_tail."""
+        return self.steps - self.record_tail
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,9 @@ class Trajectory:
     """A simulated orbit with the controls that produced it.
 
     With record="all", points[0] is the initial state and controls[k] is the
-    pair applied to produce points[k+1].  With record="tail", points holds at
-    most the last record_tail states and controls is aligned with it.
+    pair applied to produce points[k+1].  With record="tail", points is the
+    run's tail, the states of its last record_tail steps or the final state
+    of a run that stopped before them, and controls[k] produced points[k].
     """
 
     points: list[Point2]
@@ -234,16 +234,13 @@ def classify_tail(traj: Trajectory, target: Point2, cfg: SimConfig) -> Outcome:
     """Classify a finished trajectory from its recorded tail.
 
     Early-terminated outcomes (Converged / Escaped, detected online) are
-    returned as-is; otherwise the run must have covered the configured
-    transient plus tail.
+    returned as-is; otherwise the run must have taken all cfg.steps steps,
+    its transient and its tail.
     """
     if isinstance(traj.outcome, (Converged, Escaped)):
         return traj.outcome
-    if traj.steps_run < cfg.transient + cfg.record_tail:
-        raise InsufficientData(
-            f"need at least transient + record_tail = "
-            f"{cfg.transient + cfg.record_tail} steps, ran {traj.steps_run}"
-        )
+    if traj.steps_run < cfg.steps:
+        raise InsufficientData(f"need {cfg.steps} steps, ran {traj.steps_run}")
     pts = [(p.x, p.y) for p in traj.points]
     return _classify_points(pts, traj.steps_run, target, cfg)
 
@@ -255,28 +252,28 @@ def _run_raw(
     cfg: SimConfig,
     start: Point2,
     rng_s: int,
-    record: str,
-) -> tuple[Seq[tuple[float, float]], Optional[Outcome], int]:
-    """Engine core: (states, online outcome or None, steps run) of a run from start.
+    first: int,
+) -> tuple[list[tuple[float, float]], Optional[Outcome], int]:
+    """Engine core: (states, outcome or None, steps run) of a run from start.
 
     One loop reads the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
     of the realized pairs, `control_pairs(schedule, rng_s, target)`, and
     steps x' = c1 + g1 * F1, y' = c2 + g2 * F2: the operations of
     vmtoc_step in its order.  It keeps state in scalars and records raw
-    (x, y) tuples.  With record="all" the states are a list from start on.
-    With record="tail", the one batch runs need, only states from step
-    steps - record_tail + 1 on are recorded, at most record_tail of them,
-    and a run that stops early records its final state.  The online outcome
-    is Escaped or Converged; None means the tail is still to be classified.
+    (x, y) tuples of the states from step `first` on, with start as state
+    0: first = 0 records the whole run, first = cfg.transient + 1 its tail.
+    A run that stops before step first records its final state.  The
+    outcome is Escaped or Converged, found online or, for a tail shorter
+    than CONV_WINDOW, by `_tail_converged`; None means the tail is still to
+    be classified.
 
     Under a constant control pair the next state is a pure function of the
     current one, so once a state repeats bit for bit the rest of the run is
     known.  Brent's cycle detection (Brent 1980, BIT 20:176-184) keeps one
     saved state, moved to the current one at steps 0, 1, 3, 7, ...; a cycle
     whose period fits in record_tail ends the loop.  The cycle is stepped
-    again from the current state by vmtoc_step, since in tail mode it may
-    precede the recorded window, and the remaining steps are replayed from
-    it.
+    again from the current state by vmtoc_step, since it may precede the
+    recorded window, and the remaining steps are replayed from it.
     """
     henon = params.kind is MapKind.HENON
     a, b = params.a, params.b
@@ -294,13 +291,7 @@ def _run_raw(
             schedule = Constant(d1, d2)
     constant = isinstance(schedule, Constant)
 
-    tail_mode = record == "tail"
-    if tail_mode:
-        rec: deque | list = deque(maxlen=tail)
-        first = steps - tail + 1  # the first step recorded
-    else:
-        rec = [(x, y)]
-        first = 1
+    rec = [(x, y)] if first == 0 else []
 
     # Brent's saved state and its step; NaN never compares equal.
     sx = sy = math.nan
@@ -375,27 +366,28 @@ def _run_raw(
                     break
             else:
                 in_tol = 0
-        fill = max(done + 1, n - tail + 1) if tail_mode else done + 1
+        # a run that converges before step first records its final state
+        fill = min(max(done + 1, first), n)
         rec.extend(cycle[(m - done - 1) % period] for m in range(fill, n + 1))
+    if outcome is None and tail < CONV_WINDOW and _tail_converged(rec[-tail:], n, target, cfg):
+        outcome = Converged(n)
     return rec, outcome, n
 
 
 def _tail_converged(
-    rec: Seq[tuple[float, float]], steps_run: int, target: Point2, cfg: SimConfig
+    tail: list[tuple[float, float]], steps_run: int, target: Point2, cfg: SimConfig
 ) -> bool:
-    """Whether `_classify_points` calls a tail Converged that did not converge online.
+    """Whether `_classify_points` calls a tail shorter than CONV_WINDOW Converged.
 
-    It cannot when record_tail >= CONV_WINDOW: the last CONV_WINDOW states
-    were not all within conv_tol, and its period-1 branch needs the whole
-    tail within conv_tol.  Shorter tails are classified only if every state
-    is within conv_tol.
+    Only such a tail can be Converged without converging online: a longer
+    one's last CONV_WINDOW states were not all within conv_tol, and the
+    period-1 branch needs the whole tail within conv_tol.  A short tail is
+    classified only if every state is within conv_tol.
     """
-    if cfg.record_tail >= CONV_WINDOW:
-        return False
     tx, ty, tol = target.x, target.y, cfg.conv_tol
-    if not all(abs(x - tx) < tol and abs(y - ty) < tol for x, y in rec):
+    if not all(abs(x - tx) < tol and abs(y - ty) < tol for x, y in tail):
         return False
-    return isinstance(_classify_points(list(rec), steps_run, target, cfg), Converged)
+    return isinstance(_classify_points(tail, steps_run, target, cfg), Converged)
 
 
 def run_trajectory(
@@ -417,14 +409,15 @@ def run_trajectory(
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
     target = fixed_point(params, branch)
     s = stream_for_trial(cfg.seed, 0).s
-    rec, outcome, n = _run_raw(params, target, schedule, cfg, cfg.initial, s, "all")
+    first = 0 if record == "all" else cfg.transient + 1
+    rec, outcome, n = _run_raw(params, target, schedule, cfg, cfg.initial, s, first)
     if outcome is None:
         outcome = _classify_points(rec, n, target, cfg)
-    # keep states first..n and the pairs that produced states max(first, 1)..n
-    first = 0 if record == "all" else max(n - cfg.record_tail, 0) + 1
+    # rec holds states start..n; keep the pairs that produced states max(start, 1)..n
+    start = n + 1 - len(rec)
     return Trajectory(
-        points=[Point2(px, py) for px, py in islice(rec, first, None)],
-        controls=list(islice(control_pairs(schedule, s), max(first - 1, 0), n)),
+        points=[Point2(px, py) for px, py in rec],
+        controls=list(islice(control_pairs(schedule, s), max(start - 1, 0), n)),
         outcome=outcome,
         steps_run=n,
     )
@@ -443,14 +436,13 @@ def _cell_tail(
     A converged cell repeats its final state record_tail times: that is its
     limit set.
     """
-    rec, outcome, n = _run_raw(
-        params, target, schedule, cfg, init, stream_for_trial(cfg.seed, stream).s, "tail"
-    )
+    rng_s = stream_for_trial(cfg.seed, stream).s
+    rec, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng_s, cfg.transient + 1)
     if isinstance(outcome, Escaped):
         return None
-    if isinstance(outcome, Converged) or _tail_converged(rec, n, target, cfg):
+    if isinstance(outcome, Converged):
         return [rec[-1]] * cfg.record_tail
-    return list(rec)
+    return rec
 
 
 def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[int]) -> list:
@@ -652,10 +644,8 @@ def mc_convergence(
                 bx.x_lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (bx.x_hi - bx.x_lo),
                 bx.y_lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (bx.y_hi - bx.y_lo),
             )
-        rec, outcome, n = _run_raw(params, target, schedule, cfg, init, rng.s, "tail")
-        return isinstance(outcome, Converged) or (
-            outcome is None and _tail_converged(rec, n, target, cfg)
-        )
+        _, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.transient + 1)
+        return isinstance(outcome, Converged)
 
     flags = _parallel_map(run_one, trials, threads)
     converged = sum(flags)

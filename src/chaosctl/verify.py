@@ -8,6 +8,11 @@ cause, that these noise amplitudes sit at the margin of stochastic
 stability, is an unverified explanation: no code here computes the top
 Lyapunov exponent that would show it (ROADMAP.md, item 1).  The rows are
 evaluated faithfully and report the measured fractions.
+
+Row 7 renders `repro fig3d` with `--threads 1` and `--threads 8`.  fig3d is
+a `simulate` run, which never starts the thread pool, so the row checks
+that rendering is deterministic within one process, not that threads give
+the same output.
 """
 
 from __future__ import annotations
@@ -360,7 +365,7 @@ def check_geometric_decay() -> CheckRow:
                     break
             cfg = SimConfig(
                 initial=Point2(star.x + dx, star.y + dy),
-                steps=120, seed=trial, transient=0, record_tail=120,
+                steps=120, seed=trial, record_tail=120,
             )
             traj = run_trajectory(params, BRANCH, Stochastic(ch1, ch2), cfg)
             d0 = vec_norm(dx, dy, norm)

@@ -233,7 +233,7 @@ def test_args_line_keeps_plain_negative_numbers(capsys):
 ], ids=lambda c: c[0])
 @pytest.mark.parametrize("steps", ["5", "600"])
 def test_short_runs(command, steps, capsys):
-    # the tail and the transient shrink to fit runs shorter than 700 steps
+    # the tail is the last min(200, steps) states
     argv = command + ["--map", "lozi", "--alpha1", "0.4", "--ell1", "0.1",
                       "--x0", "0.3", "--y0", "0.1", "--steps", steps]
     rc, out, err = run_cli(argv, capsys)
@@ -332,7 +332,7 @@ def _single_join_reference(argv):
 )
 def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_inits, ell1,
                                              dist1, alpha2, steps):
-    # steps <= 60 leaves no transient and a tail of `steps` points; a high `a` or
+    # steps <= 60 makes the whole run the tail; a high `a` or
     # ell1 makes every cell of some alphas escape
     argv = ["bifurcation", "--map", kind, "--a", repr(a),
             "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}", "--inits", str(n_inits),

@@ -172,8 +172,7 @@ _schedules = st.one_of(
 )
 def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps, seed):
     # the engine must reproduce control_at_step + vmtoc_step bit for bit
-    cfg = SimConfig(initial=Point2(x0, y0), steps=steps, seed=seed,
-                    transient=0, record_tail=steps)
+    cfg = SimConfig(initial=Point2(x0, y0), steps=steps, seed=seed, record_tail=steps)
     traj = run_trajectory(params, PLUS, schedule, cfg)
     star = fixed_point(params, PLUS)
     rng = stream_for_trial(seed, 0)
@@ -209,8 +208,10 @@ def _reference_run(params, branch, schedule, cfg, record):
         else:
             in_tol = 0
     if record == "tail":
-        points = points[1:][-cfg.record_tail:]
-        controls = controls[-cfg.record_tail:]
+        # the states of the last record_tail steps, or the final state of a
+        # run that stopped before them, and the pairs that produced them
+        start = min(cfg.transient + 1, n)
+        points, controls = points[start:], controls[start - 1:]
     if outcome is None:
         outcome = _classify_points(points, n, star, cfg)
     return points, controls, outcome, n
@@ -244,23 +245,25 @@ _CYCLE_CASES = {
 }
 
 
-#: Tail-mode runs of named cycle cases: name -> (case, steps, record_tail).
+#: Runs of named cycle cases: name -> (case, steps, record_tail, record).
 #: Batch runs record only the last record_tail states, so a cycle found
 #: before that window must be stepped again.  test_cycle_cases_cover checks
 #: that each shows what its name says.
 _TAIL_CASES = {
-    "cycle-before-window": ("period-2", 600, 200),
-    "cycle-inside-window": ("period-2", 100, 60),
-    "converged-in-replay": ("converged-in-window", 400, 200),
+    "cycle-before-window": ("period-2", 600, 200, "tail"),
+    "cycle-inside-window": ("period-2", 100, 60, "tail"),
+    "converged-in-replay": ("converged-in-window", 400, 200, "tail"),
+    # the states recorded when the loop ends already form a Converged tail
+    # shorter than CONV_WINDOW, but the replay moves its step from 2 to 3
+    "short-tail-in-replay": ("converged-in-window", 3, 3, "all"),
 }
 
 
 def _tail_case(name):
-    case, steps, tail = _TAIL_CASES[name]
+    case, steps, tail, record = _TAIL_CASES[name]
     params, branch, (d1, d2), init, tol = _CYCLE_CASES[case]
-    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, transient=steps - tail,
-                    record_tail=tail)
-    return params, branch, Constant(d1, d2), cfg, "tail"
+    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, record_tail=tail)
+    return params, branch, Constant(d1, d2), cfg, record
 
 
 def _brent_exit(points, max_period):
@@ -294,7 +297,7 @@ def _first_repeat_period(points):
 def test_cycle_cases_cover():
     runs = {}
     for name, (params, branch, (d1, d2), init, tol) in _CYCLE_CASES.items():
-        cfg = SimConfig(initial=init, steps=400, conv_tol=tol, transient=0, record_tail=200)
+        cfg = SimConfig(initial=init, steps=400, conv_tol=tol, record_tail=200)
         runs[name] = _reference_run(params, branch, Constant(d1, d2), cfg, "all")
     for name, period in (("period-2", 2), ("period-4", 4), ("period-4-lozi", 4)):
         points, _, outcome, n = runs[name]
@@ -317,6 +320,8 @@ def test_cycle_cases_cover():
     assert first < at and outcome == Periodic(2)
     at, first, outcome = exits["converged-in-replay"]
     assert outcome == Converged(CONV_WINDOW) and at < CONV_WINDOW < first
+    at, _, outcome = exits["short-tail-in-replay"]
+    assert outcome == Converged(3) and at == 2
 
 
 @st.composite
@@ -332,8 +337,7 @@ def _cycle_runs(draw):
         tol = draw(st.sampled_from([1e-9, 1e-15, 1e-3]))
     steps = draw(st.integers(1, 600))
     tail = draw(st.integers(1, steps))
-    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, transient=steps - tail,
-                    record_tail=tail)
+    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, record_tail=tail)
     return params, branch, Constant(d1, d2), cfg, draw(st.sampled_from(["all", "tail"]))
 
 
@@ -342,6 +346,7 @@ def _cycle_runs(draw):
 @example(run=_tail_case("cycle-before-window"))
 @example(run=_tail_case("cycle-inside-window"))
 @example(run=_tail_case("converged-in-replay"))
+@example(run=_tail_case("short-tail-in-replay"))
 def test_cycle_exit_matches_step_reference(run):
     params, branch, schedule, cfg, record = run
     traj = run_trajectory(params, branch, schedule, cfg, record=record)
@@ -350,6 +355,9 @@ def test_cycle_exit_matches_step_reference(run):
     assert repr(traj.controls) == repr(controls)
     assert traj.outcome == outcome
     assert traj.steps_run == n
+    if record == "tail":
+        # the engine's list, replay included, never outgrows the window
+        assert len(traj.points) <= cfg.record_tail
     # a batch cell records only its tail, and steps a cycle found before it again
     cell = _cell_tail(params, fixed_point(params, branch), schedule, cfg, cfg.initial, 0)
     tail, _, outcome, _ = _reference_run(params, branch, schedule, cfg, "tail")
@@ -360,6 +368,74 @@ def test_cycle_exit_matches_step_reference(run):
     else:
         want = tail
     assert repr(cell) == repr(want)
+
+
+#: Stochastic tail runs that end before their window opens, or leave the loop
+#: by the cycle exit: name -> arguments of test_tail_trajectory_is_the_window.
+#: test_window_cases_cover checks that each shows what its name says.
+_WINDOW_CASES = {
+    "converged-before-window": dict(
+        params=henon(), ch1=ControlChannel(0.6, 0.05), ch2=ControlChannel(0.0),
+        init=Point2(0.3, 0.1), steps=2000, tail=200, tol=1e-9, seed=0,
+    ),
+    "escaped-before-window": dict(
+        params=henon(), ch1=ControlChannel(0.1, 0.05, NoiseDist.UNIFORM_M1P1),
+        ch2=ControlChannel(0.2, 0.1, NoiseDist.UNIFORM_M1P1),
+        init=Point2(10.0, 0.0), steps=300, tail=100, tol=1e-9, seed=0,
+    ),
+    # ell = 0 on both channels realizes a constant pair
+    "cycle-exit": dict(
+        params=lozi(), ch1=ControlChannel(0.4, 0.0), ch2=ControlChannel(0.0),
+        init=Point2(-10.0, -15.0), steps=2000, tail=200, tol=1e-9, seed=0,
+    ),
+}
+
+
+def _window_config(init, steps, tail, tol, seed):
+    return SimConfig(initial=init, steps=steps, seed=seed, conv_tol=tol,
+                     record_tail=min(tail, steps))
+
+
+def test_window_cases_cover():
+    runs = {}
+    for name, case in _WINDOW_CASES.items():
+        cfg = _window_config(case["init"], case["steps"], case["tail"], case["tol"], case["seed"])
+        schedule = Stochastic(case["ch1"], case["ch2"])
+        runs[name] = cfg, _reference_run(case["params"], PLUS, schedule, cfg, "all")
+    cfg, (_, _, outcome, n) = runs["converged-before-window"]
+    assert isinstance(outcome, Converged) and n <= cfg.transient
+    cfg, (_, _, outcome, n) = runs["escaped-before-window"]
+    assert isinstance(outcome, Escaped) and n <= cfg.transient
+    cfg, (points, _, outcome, _) = runs["cycle-exit"]
+    assert outcome == Periodic(2) and _brent_exit(points, cfg.record_tail) <= cfg.transient
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    ch1=_channel,
+    ch2=_channel,
+    init=st.builds(Point2, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    steps=st.integers(1, 400),
+    tail=st.integers(1, 120),
+    tol=st.sampled_from([1e-9, 1e-3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(**_WINDOW_CASES["converged-before-window"])
+@example(**_WINDOW_CASES["escaped-before-window"])
+@example(**_WINDOW_CASES["cycle-exit"])
+def test_tail_trajectory_is_the_window(params, ch1, ch2, init, steps, tail, tol, seed):
+    # Bernoulli and uniform channels: the tail is the states of the last
+    # record_tail steps, or the final state of a run that stopped before them
+    cfg = _window_config(init, steps, tail, tol, seed)
+    schedule = Stochastic(ch1, ch2)
+    traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
+    points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "tail")
+    assert repr([(p.x, p.y) for p in traj.points]) == repr(points)
+    assert repr(traj.controls) == repr(controls)
+    assert (traj.outcome, traj.steps_run) == (outcome, n)
+    assert len(traj.points) == (n - cfg.transient if n > cfg.transient else 1)
+    assert len(traj.points) <= cfg.record_tail
 
 
 # Means and amplitudes this small keep both maps bounded from these starts, so
@@ -385,8 +461,7 @@ def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, se
     # 3100 steps draw 6200 words: every chunk size of control_pairs and two
     # chunks at its cap.
     schedule = Stochastic(ch1, ch2)
-    cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed,
-                    transient=0, record_tail=3100)
+    cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed, record_tail=3100)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="all")
     points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "all")
     assert traj.steps_run == n == 3100
@@ -420,7 +495,7 @@ def test_raw_converged_decision_matches_classify_tail(
     star = fixed_point(params, PLUS)
     tail = min(tail, steps)
     cfg = SimConfig(initial=Point2(star.x + offset, star.y - offset), steps=steps,
-                    seed=seed, conv_tol=tol, transient=steps - tail, record_tail=tail)
+                    seed=seed, conv_tol=tol, record_tail=tail)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
     outcome = classify_tail(traj, star, cfg)
     cell = _cell_tail(params, star, schedule, cfg, cfg.initial, 0)
@@ -450,11 +525,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(initial=Point2(0, 0), steps=0)
     with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=600)  # tail does not fit
+        SimConfig(initial=Point2(0, 0), steps=100)  # tail does not fit
     with pytest.raises(ValueError):
         SimConfig(initial=Point2(0, 0), steps=2000, conv_tol=0.0)
     with pytest.raises(ValueError):
         SimConfig(initial=Point2(0, 0), steps=2000, record_tail=0)
+    with pytest.raises(ValueError):
+        SimConfig(initial=Point2(0, 0), steps=100, record_tail=101)
+    with pytest.raises(TypeError):  # the transient is what the tail leaves
+        SimConfig(initial=Point2(0, 0), steps=2000, transient=0)
+
+
+def test_config_transient_is_what_the_tail_leaves():
+    assert SimConfig(initial=Point2(0, 0), steps=2000).transient == 1800
+    assert SimConfig(initial=Point2(0, 0), steps=700, record_tail=150).transient == 550
+    assert SimConfig(initial=Point2(0, 0), steps=50, record_tail=50).transient == 0
 
 
 # --- tail classification -------------------------------------------------------
@@ -602,7 +687,7 @@ def test_threads_default_is_serial(henon_std, monkeypatch):
 )
 def test_sweep_cells_match_spread_collapse_and_csv(kind, a, lo, width, n_alpha, n_inits,
                                                    ell1, steps):
-    # steps <= 200 leaves no transient and a tail of `steps` points
+    # the tail is the last min(200, steps) states: all of a run of <= 200 steps
     argv = ["bifurcation", "--map", kind, "--a", repr(a),
             "--alpha-range", f"{lo!r}:{lo + width!r}:{n_alpha}",
             "--inits", str(n_inits), "--ell1", repr(ell1), "--steps", str(steps)]
@@ -734,7 +819,7 @@ def test_geometric_decay_under_certified_contraction(lozi_std):
     for trial in range(40):
         cfg = SimConfig(
             initial=Point2(star.x + 0.3, star.y - 0.2), steps=100, seed=trial,
-            transient=0, record_tail=100,
+            record_tail=100,
         )
         traj = run_trajectory(lozi_std, PLUS, Stochastic(ch1, ch2), cfg)
         budget = vec_norm(0.3, -0.2, NormKind.LINF)
