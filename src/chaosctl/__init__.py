@@ -4,7 +4,7 @@ Library layout:
 
 - maps:      map stepping, equilibria, local Lipschitz matrices
 - linalg2:   2x2 induced norms and the trace-determinant stability test
-- control:   control schedules, the seeded noise source, the controlled step
+- control:   the control schedule, the seeded noise source, the controlled step
 - stability: deterministic thresholds and expected-log-contraction analysis
 - sim:       trajectory engine, sweeps, limit sets, Monte Carlo experiments
 - cli:       the `chaosctl` command-line front end with figure presets
@@ -27,11 +27,9 @@ from .linalg2 import NormKind, induced_norm, trace_det_stable, vec_norm
 from .control import (
     Constant,
     ControlChannel,
-    ControlSchedule,
     InvalidControl,
     NoiseDist,
     RngState,
-    Sequence,
     Stochastic,
     control_pairs,
     next_rand,

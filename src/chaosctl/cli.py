@@ -114,13 +114,17 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch", choices=["plus", "minus"], default="plus")
 
 
+def _add_channel2_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
+    p.add_argument("--ell2", type=float, default=0.0)
+    p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha1", "--alpha", dest="alpha1", type=float, default=0.0)
     p.add_argument("--ell1", type=float, default=0.0)
     p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
-    p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
-    p.add_argument("--ell2", type=float, default=0.0)
-    p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+    _add_channel2_flags(p)
 
 
 def _add_init_flags(p: argparse.ArgumentParser) -> None:
@@ -153,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", type=_alpha_range, required=True, metavar="LO:HI:N")
     p.add_argument("--ell1", type=float, default=0.0)
     p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
-    p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
-    p.add_argument("--ell2", type=float, default=0.0)
-    p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+    _add_channel2_flags(p)
     p.add_argument("--inits", type=int, default=20, help="size of the initial-state grid")
     p.add_argument("--steps", type=int, default=700)
     _add_common_flags(p)
@@ -188,9 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flags(p)
     p.add_argument("--alpha1", "--alpha", dest="alpha1", type=float, required=True)
     p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
-    p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
-    p.add_argument("--ell2", type=float, default=0.0)
-    p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+    _add_channel2_flags(p)
     p.add_argument("--norm", choices=["linf", "l1"], required=True)
     p.add_argument("--radius", type=float, default=0.0)
     _add_common_flags(p)
@@ -221,12 +221,12 @@ def _branch(args) -> Branch:
     return Branch(args.branch)
 
 
+def _channel2(args) -> ControlChannel:
+    return ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2])
+
+
 def _schedule(args) -> Stochastic:
-    # The engine runs constant channels as a Constant schedule.
-    return Stochastic(
-        ControlChannel(args.alpha1, args.ell1, _DISTS[args.dist1]),
-        ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
-    )
+    return Stochastic(ControlChannel(args.alpha1, args.ell1, _DISTS[args.dist1]), _channel2(args))
 
 
 def _seed(args) -> int:
@@ -301,7 +301,7 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
     res = bifurcation_sweep(
         _params(args),
         _branch(args),
-        ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
+        _channel2(args),
         lo,
         hi,
         n_alpha,
@@ -363,13 +363,9 @@ def _cmd_threshold(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_explog(args) -> tuple[Iterable[str], int]:
+    params, schedule = _params(args), _schedule(args)
     model = build_nu_model(
-        _params(args),
-        _branch(args),
-        args.radius,
-        _NORMS[args.norm],
-        ControlChannel(args.alpha1, args.ell1, _DISTS[args.dist1]),
-        ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
+        params, _branch(args), args.radius, _NORMS[args.norm], schedule.ch1, schedule.ch2
     )
     v = expected_log_nu(model, args.method, seed=_seed(args))
     return [f"e_ln_nu,{_fmt(v)}\n"], 0
@@ -383,7 +379,7 @@ def _cmd_minnoise(args) -> tuple[Iterable[str], int]:
         _NORMS[args.norm],
         args.alpha1,
         _DISTS[args.dist1],
-        ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2]),
+        _channel2(args),
     )
     return [f"ell1_star,{v:.5g}\n"], 0
 

@@ -1,4 +1,10 @@
-"""Diagonal target-oriented control: schedules, noise source, controlled step.
+"""Diagonal target-oriented control: the schedule, noise source, controlled step.
+
+A control schedule is one `Stochastic` pair of channels, d_i = alpha_i +
+ell_i * chi_i; deterministic control is ell_1 = ell_2 = 0, which `Constant`
+builds.  Whether a channel is constant is decided by one rule,
+`ControlChannel.constant_value`, which the sampler and the trajectory
+engine both read.
 
 The noise source is SplitMix64, specified bit-exactly so that any
 implementation of this package (in any language) reproduces identical
@@ -28,10 +34,11 @@ d2 * ty, 1 - d2), and `step_values`, which both read, take two draws per
 step and generate them word-parallel in `_noise_chunks`: a chunk of them
 is one int with a 128-bit lane per draw, and each step of the recurrence
 above runs once on the whole chunk.  Only draws whose value can be read are
-computed.  A channel whose realized values at chi = -1 and +1
-are one double is constant and never drawn.  When the drawn channels are
-Bernoulli, a step's value is one of four, looked up by the two sign bits
-folded into one byte.  The one-word-at-a-time `_sm64_next` (with
+computed.  A channel whose realized values at chi = -1 and +1 are one
+double is constant and never drawn; when neither channel is drawn the
+stream is one repeated value.  When the drawn channels are Bernoulli, a
+step's value is one of four, looked up by the two sign bits folded into
+one byte.  The one-word-at-a-time `_sm64_next` (with
 `next_rand`, `sample_noise` and `control_at_step`) is the scalar reference
 the tests hold them to.
 """
@@ -43,9 +50,9 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
-from itertools import chain, cycle, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .maps import MapParams, Point2, map_step
 
@@ -173,13 +180,12 @@ _CHUNK_CAP = 1024
 _ONE_OR_TWO = (2.0,) * 128 + (1.0,) * 128
 
 
-def _same(a: object, b: object) -> bool:
-    """Whether two doubles, or tuples of them, are equal bit for bit.
+def _same(a: float, b: float) -> bool:
+    """Whether two finite doubles are equal bit for bit.
 
-    `==` equates -0.0 and 0.0; repr tells every two distinct finite doubles
-    apart, the signs of zero included.
+    `==` equates -0.0 and 0.0 and no other two distinct finite doubles.
     """
-    return a == b and repr(a) == repr(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 @cache
@@ -229,12 +235,15 @@ def _noise_chunks(
     realizes it: ell * chi and alpha + ell * chi round monotonically in chi,
     so the value lies between the two equal ends, and a sum is -0.0 only
     when both terms are, which with alpha = -0.0 makes the ends differ.
+    This is the whole draw rule: channel i is drawn exactly when it is not
+    constant, and with neither drawn the stream is `repeat` of the held pair
+    or of its value, and no table is built.
 
     When every channel that is not constant is Bernoulli, a step's pair
     (d1, d2) depends only on the two sign bits b_i (bit 63 of draw i, chi_i =
     2 b_i - 1), so it is one of four, and so is its value: table[b1 + 2 b2].
-    A channel is drawn only when flipping its bit changes some pair, pairs
-    compared bit for bit.  The last xor-shift, z ^= z >> 31, cannot change
+    Flipping b_i changes a pair only when channel i's two ends differ, that
+    is when it is drawn.  The last xor-shift, z ^= z >> 31, cannot change
     bit 63 of a 64-bit lane, and bits 64 and up of the last product are
     never read, so both are skipped.
     With both channels drawn, t = (z >> 63) & ones holds b in bit 0 of each
@@ -258,31 +267,27 @@ def _noise_chunks(
     gives `repeat` of its two coefficients.
     """
     channels = (ch1, ch2)
-    held = [ch.constant_value for ch in channels]
+    held = tuple(ch.constant_value for ch in channels)
+    drawn = [h is None for h in held]
     if target is not None:
         value = partial(_coefficients, target=target)
         goals = (target.x, target.y)
+    if not any(drawn):
+        yield repeat(held if value is None else value(*held))
+        return
 
     def at(chi1: float, chi2: float) -> tuple[float, float]:
         return (ch1.alpha + ch1.ell * chi1, ch2.alpha + ch2.ell * chi2)
 
     table = None
-    if all(h is not None or ch.dist is NoiseDist.BERNOULLI_PM1 for h, ch in zip(held, channels)):
+    if all(not d or ch.dist is NoiseDist.BERNOULLI_PM1 for d, ch in zip(drawn, channels)):
         table = (at(-1.0, -1.0), at(1.0, -1.0), at(-1.0, 1.0), at(1.0, 1.0))
-        drawn = [
-            any(not _same(table[k], table[k | bit]) for k in range(4) if not k & bit)
-            for bit in (1, 2)
-        ]
         if value is not None:
             table = tuple(value(*d) for d in table)
-        if not any(drawn):
-            yield repeat(table[0])
-            return
         if not all(drawn):
             bit = 1 if drawn[0] else 2
             table = (table[0],) * 128 + (table[bit],) * 128
     else:
-        drawn = [h is None for h in held]
         sides = [
             (ch.alpha + ch.ell * -1.0,) * 128 + (ch.alpha + ch.ell * 1.0,) * 128 for ch in channels
         ]
@@ -357,7 +362,10 @@ class ControlChannel:
         """The intensity every draw realizes, or None when draws can differ.
 
         The channel is constant when alpha + ell * -1.0 and alpha + ell * 1.0
-        are one double, the sign of zero included; see `_noise_chunks`.
+        are one double, the sign of zero included; see `_noise_chunks`.  This
+        is the one rule of constancy: the sampler draws a channel exactly when
+        it is None, and the engine runs a schedule as a constant pair exactly
+        when both channels' values are not None.
         """
         lo, hi = self.alpha + self.ell * -1.0, self.alpha + self.ell * 1.0
         return lo if _same(lo, hi) else None
@@ -368,89 +376,51 @@ class ControlChannel:
         return 0.0 < self.alpha < 1.0 and self.ell < min(self.alpha, 1.0 - self.alpha)
 
 
-def _check_pair(d1: float, d2: float) -> None:
-    if not (0.0 <= d1 < 1.0 and 0.0 <= d2 < 1.0):
-        raise InvalidControl(f"control pair must lie in [0, 1), got ({d1}, {d2})")
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Fixed control pair applied at every step."""
-
-    d1: float
-    d2: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_pair(self.d1, self.d2)
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """Explicit control pairs, reused cyclically when exhausted."""
-
-    pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise InvalidControl("control sequence must be non-empty")
-        for d1, d2 in self.pairs:
-            _check_pair(d1, d2)
-
-
 @dataclass(frozen=True)
 class Stochastic:
-    """Independently perturbed channels d_i = alpha_i + ell_i * chi_i."""
+    """The control schedule: channels d_i = alpha_i + ell_i * chi_i.
+
+    Deterministic control is the case ell_1 = ell_2 = 0; see `Constant`.
+    """
 
     ch1: ControlChannel
     ch2: ControlChannel = field(default_factory=lambda: ControlChannel(0.0))
 
 
-ControlSchedule = Union[Constant, Sequence, Stochastic]
+def Constant(d1: float, d2: float = 0.0) -> Stochastic:
+    """The schedule that applies the control pair (d1, d2) at every step."""
+    return Stochastic(ControlChannel(d1), ControlChannel(d2))
+
 
 # Unit channels: d = chi, so `noise_pairs` is `_noise_chunks` read raw.
 _UNIT = {dist: ControlChannel(0.0, 1.0, dist) for dist in NoiseDist}
 
 
 def control_pairs(
-    schedule: ControlSchedule, s: int, target: Optional[Point2] = None
+    schedule: Stochastic, s: int, target: Optional[Point2] = None
 ) -> Iterator[tuple[float, ...]]:
     """Endless realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
 
-    s is the raw SplitMix64 state of a Stochastic schedule's noise stream;
-    Constant and Sequence schedules ignore it.  Every pair equals the one
-    `control_at_step` realizes, the scalar reference; a Stochastic schedule
-    reads `step_values`, whose stream advances two draws per step even where
-    a channel is constant and its draws are not computed.  With a target
-    (tx, ty), each step yields instead the coefficients (d1 * tx, 1.0 - d1,
-    d2 * ty, 1.0 - d2) of its pair, the stream the trajectory engine reads:
-    a Constant schedule repeats one tuple, a Sequence cycles through one
-    tuple per pair.
+    s is the raw SplitMix64 state of the schedule's noise stream.  The pairs
+    are `step_values` of the schedule's two channels: every pair equals the
+    one `control_at_step` realizes, the scalar reference, and the stream
+    advances two draws per step even where a channel is constant and its
+    draws are not computed.  With a target (tx, ty), each step yields
+    instead the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) of its
+    pair.
     """
-    if isinstance(schedule, Stochastic):
-        return step_values(s, schedule.ch1, schedule.ch2, target=target)
-    pairs = ((schedule.d1, schedule.d2),) if isinstance(schedule, Constant) else schedule.pairs
-    if target is not None:
-        pairs = tuple(_coefficients(d1, d2, target) for d1, d2 in pairs)
-    return repeat(pairs[0]) if isinstance(schedule, Constant) else cycle(pairs)
+    return step_values(s, schedule.ch1, schedule.ch2, target=target)
 
 
-def control_at_step(
-    schedule: ControlSchedule, n: int, rng: RngState
-) -> tuple[RngState, float, float]:
-    """Realized control pair for step index n (0-based).
+def control_at_step(schedule: Stochastic, rng: RngState) -> tuple[RngState, float, float]:
+    """The realized control pair of the step that draws from `rng`, and the next state.
 
-    A Stochastic schedule always consumes exactly two noise draws per step,
-    channel 1 first, even when an amplitude is zero: changing ell must not
-    shift the underlying noise stream, so runs differing only in amplitude
-    see the same noise realizations.
+    Every step consumes exactly two noise draws, channel 1 first, even when
+    a channel is constant: changing ell must not shift the underlying noise
+    stream, so runs differing only in amplitude see the same noise
+    realizations.
     """
-    if isinstance(schedule, Constant):
-        return rng, schedule.d1, schedule.d2
-    if isinstance(schedule, Sequence):
-        d1, d2 = schedule.pairs[n % len(schedule.pairs)]
-        return rng, d1, d2
-    s = rng.s
-    s, z1 = _sm64_next(s)
+    s, z1 = _sm64_next(rng.s)
     s, z2 = _sm64_next(s)
     c1, c2 = schedule.ch1, schedule.ch2
     d1 = c1.alpha + c1.ell * sample_noise(c1.dist, z1)

@@ -12,16 +12,17 @@ not collapsed.
 
 One engine loop, `_run_raw`, serves every experiment.  It reads the
 coefficients (d * t, 1 - d) of the schedule's realized control pairs from
-one stream, `control.control_pairs`, with no per-step branch on the
-schedule type, and records no controls; `run_trajectory` reads its controls
-after the loop from a fresh stream of the same schedule, cut to the steps
-run.  It returns raw (x, y) tuples; only `run_trajectory` builds `Point2`
-points and classifies the tail.  A run records all its states or only
-its tail: the states of its last record_tail steps, or the final state of
-a run that stopped before them.  Sweep cells, limit sets and Monte Carlo
-trials read the tail and the engine's outcome.  A run under a constant
-control pair stops once its state repeats bit for bit and replays the
-cycle, with identical output.
+one stream, with no per-step branch: `repeat` of one tuple when both
+channels are constant by `ControlChannel.constant_value`, the rule the
+sampler reads too, and `control.control_pairs` otherwise.  It records no
+controls; `run_trajectory` reads its controls after the loop from a fresh
+stream of the same schedule, cut to the steps run.  It returns raw (x, y)
+tuples; only `run_trajectory` builds `Point2` points and classifies the
+tail.  A run records all its states or only its tail: the states of its
+last record_tail steps, or the final state of a run that stopped before
+them.  Sweep cells, limit sets and Monte Carlo trials read the tail and the
+engine's outcome.  A run under a constant control pair stops once its state
+repeats bit for bit and replays the cycle, with identical output.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import truediv
-from typing import Callable, Optional, Sequence as Seq, Union
+from typing import Callable, Optional, Union
 
 from .control import (
-    Constant,
     ControlChannel,
-    ControlSchedule,
     NoiseDist,
     Stochastic,
+    _coefficients,
     control_pairs,
     next_rand,
     stream_for_trial,
@@ -201,7 +201,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _classify_points(
-    pts: Seq[tuple[float, float]],
+    pts: list[tuple[float, float]],
     steps_run: int,
     target: Point2,
     cfg: SimConfig,
@@ -214,6 +214,8 @@ def _classify_points(
         max(abs(x - tx), abs(y - ty)) < cfg.conv_tol for x, y in window
     ):
         return Converged(steps_run)
+    if len(tail) == 1 and max(abs(tail[0][0] - tx), abs(tail[0][1] - ty)) < cfg.conv_tol:
+        return Converged(steps_run)  # a lone state outside conv_tol is Bounded below
     for k in range(1, PERIOD_MAX + 1):
         if k >= len(tail):
             break
@@ -248,7 +250,7 @@ def classify_tail(traj: Trajectory, target: Point2, cfg: SimConfig) -> Outcome:
 def _run_raw(
     params: MapParams,
     target: Point2,
-    schedule: ControlSchedule,
+    schedule: Stochastic,
     cfg: SimConfig,
     start: Point2,
     rng_s: int,
@@ -257,7 +259,8 @@ def _run_raw(
     """Engine core: (states, outcome or None, steps run) of a run from start.
 
     One loop reads the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
-    of the realized pairs, `control_pairs(schedule, rng_s, target)`, and
+    of the realized pairs, `control_pairs(schedule, rng_s, target)` or, when
+    both channels hold a constant value, `repeat` of that pair's, and
     steps x' = c1 + g1 * F1, y' = c2 + g2 * F2: the operations of
     vmtoc_step in its order.  It keeps state in scalars and records raw
     (x, y) tuples of the states from step `first` on, with start as state
@@ -283,13 +286,10 @@ def _run_raw(
     x, y = start.x, start.y
     steps, tail = cfg.steps, cfg.record_tail
 
-    if isinstance(schedule, Stochastic):
-        # Constant channels realize a constant pair; skipping the draws is
-        # unobservable because each run owns its stream exclusively.
-        d1, d2 = schedule.ch1.constant_value, schedule.ch2.constant_value
-        if d1 is not None and d2 is not None:
-            schedule = Constant(d1, d2)
-    constant = isinstance(schedule, Constant)
+    # Constant channels realize a constant pair; skipping the draws is
+    # unobservable because each run owns its stream exclusively.
+    d1, d2 = schedule.ch1.constant_value, schedule.ch2.constant_value
+    constant = d1 is not None and d2 is not None
 
     rec = [(x, y)] if first == 0 else []
 
@@ -301,7 +301,10 @@ def _run_raw(
     outcome: Optional[Outcome] = None
     in_tol = 0
     n = 0
-    coefs = control_pairs(schedule, rng_s, target)
+    if constant:
+        coefs = repeat(_coefficients(d1, d2, target))
+    else:
+        coefs = control_pairs(schedule, rng_s, target)
     for n, (c1, g1, c2, g2) in zip(range(1, steps + 1), coefs):
         if constant:
             # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
@@ -353,7 +356,7 @@ def _run_raw(
         p = Point2(x, y)
         cycle = []
         for _ in range(period):
-            p = vmtoc_step(params, target, schedule.d1, schedule.d2, p)
+            p = vmtoc_step(params, target, d1, d2, p)
             cycle.append((p.x, p.y))
         n = steps
         for m in range(done + 1, min(n, done + period + CONV_WINDOW) + 1):
@@ -393,7 +396,7 @@ def _tail_converged(
 def run_trajectory(
     params: MapParams,
     branch: Branch,
-    schedule: ControlSchedule,
+    schedule: Stochastic,
     cfg: SimConfig,
     *,
     record: str = "all",
@@ -426,7 +429,7 @@ def run_trajectory(
 def _cell_tail(
     params: MapParams,
     target: Point2,
-    schedule: ControlSchedule,
+    schedule: Stochastic,
     cfg: SimConfig,
     init: Point2,
     stream: int,
@@ -495,8 +498,8 @@ def _sweep_cell(
     params: MapParams,
     branch: Branch,
     ch2: ControlChannel,
-    alphas: Seq[float],
-    inits: Seq[Point2],
+    alphas: tuple[float, ...],
+    inits: list[Point2],
     cfg: SimConfig,
     ell1: float,
     dist1: NoiseDist,
@@ -525,7 +528,7 @@ def bifurcation_sweep(
     alpha_lo: float,
     alpha_hi: float,
     n_alpha: int,
-    inits: Seq[Point2],
+    inits: list[Point2],
     cfg: SimConfig,
     ell1: float = 0.0,
     dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
@@ -552,7 +555,7 @@ def collapse_alpha(
     alpha_lo: float,
     alpha_hi: float,
     n_alpha: int,
-    inits: Seq[Point2],
+    inits: list[Point2],
     cfg: SimConfig,
     ell1: float = 0.0,
     dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
@@ -588,8 +591,8 @@ def collapse_alpha(
 def limit_set(
     params: MapParams,
     branch: Branch,
-    schedule: ControlSchedule,
-    inits: Seq[Point2],
+    schedule: Stochastic,
+    inits: list[Point2],
     cfg: SimConfig,
     threads: Optional[int] = None,
 ) -> list[Point2]:
@@ -615,7 +618,7 @@ def limit_set(
 def mc_convergence(
     params: MapParams,
     branch: Branch,
-    schedule: ControlSchedule,
+    schedule: Stochastic,
     init_sampler: InitSampler,
     trials: int,
     cfg: SimConfig,

@@ -1,0 +1,65 @@
+"""The surface of chaosctl that the benchmark in perfbench/ reads.
+
+perfbench imports chaosctl's public names and runs its probes against
+them, and BENCHMARK.json lists the metrics a traced run must report.
+These tests read perfbench/ and BENCHMARK.json and change nothing there.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import json
+import pathlib
+
+import pytest
+
+from chaosctl.sim import mc_convergence
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+def _chaosctl_imports():
+    """(file, module, name) of every `from chaosctl... import name` in perfbench."""
+    out = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chaosctl":
+                out += [(path.name, node.module, alias.name) for alias in node.names]
+    return out
+
+
+def test_perfbench_imports_resolve():
+    imports = _chaosctl_imports()
+    assert imports  # probes.py reads the library directly
+    missing = [
+        f"{file}: from {module} import {name}"
+        for file, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing
+
+
+def test_thread_speedup_metric_matches_mc_convergence():
+    # probes.thread_speedup reports sim.thread_speedup only while
+    # mc_convergence takes `threads`; the traced run needs every listed name.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    listed = "sim.thread_speedup" in {m["name"] for m in spec["per_layer"]}
+    assert ("threads" in inspect.signature(mc_convergence).parameters) == listed
+
+
+@pytest.fixture(scope="module")
+def probes():
+    spec = importlib.util.spec_from_file_location("perfbench_probes", BENCH / "probes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_probes_run_every_step(probes):
+    # _steps raises unless the run takes all its steps, neither converging
+    # nor escaping
+    assert probes.STEP_PROBES
+    for params, schedule, steps in probes.STEP_PROBES.values():
+        probes._steps(params, schedule, steps)

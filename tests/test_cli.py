@@ -248,6 +248,36 @@ def test_short_runs(command, steps, capsys):
     assert out2 == out
 
 
+#: The Henon equilibrium under --alpha1 0.6, bit for bit a fixed point of the
+#: controlled step, and a start far from it.
+_AT_TARGET = ["--map", "henon", "--alpha1", "0.6",
+              "--x0", "0.6313544770895048", "--y0", "0.18940634312685142"]
+_OFF_TARGET = ["--map", "henon", "--alpha1", "0.6", "--x0", "0.3", "--y0", "0.1"]
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_one_state_tail_at_target_converges(steps, capsys):
+    # a 1-step run's tail is one state; within conv_tol it is Converged,
+    # as the 2-step run's two states are
+    rc, out, err = run_cli(["simulate", *_AT_TARGET, "--steps", steps], capsys)
+    assert rc == 0, err
+    assert f"# outcome: converged@{steps}\n" in out
+    rc, out, err = run_cli(["montecarlo", *_AT_TARGET, "--steps", steps, "--trials", "3"],
+                           capsys)
+    assert rc == 0, err
+    assert out.splitlines()[-1].startswith("3,3,1.0,")
+
+
+def test_one_state_tail_off_target_is_bounded(capsys):
+    rc, out, err = run_cli(["simulate", *_OFF_TARGET, "--steps", "1"], capsys)
+    assert rc == 0, err
+    assert "# outcome: bounded\n" in out
+    rc, out, err = run_cli(["montecarlo", *_OFF_TARGET, "--steps", "1", "--trials", "3"],
+                           capsys)
+    assert rc == 0, err
+    assert out.splitlines()[-1].startswith("3,0,0.0,")
+
+
 def test_repro_out_file(tmp_path, capsys):
     path = tmp_path / "fig4a.csv"
     rc, out, _ = run_cli(["repro", "fig4a", "--seed", "3"], capsys)

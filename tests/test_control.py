@@ -11,7 +11,6 @@ from chaosctl import (
     NoiseDist,
     Point2,
     RngState,
-    Sequence,
     Stochastic,
     control_pairs,
     fixed_point,
@@ -119,7 +118,6 @@ _channel = st.builds(
 )
 _schedule = st.one_of(
     st.builds(Constant, _intensity, _intensity),
-    st.builds(Sequence, st.lists(st.tuples(_intensity, _intensity), min_size=1, max_size=7).map(tuple)),
     st.builds(Stochastic, _channel, _channel),
 )
 
@@ -131,7 +129,7 @@ def test_control_pairs_match_control_at_step(s, schedule):
     # by pair, as in the noise_pairs test above.
     rng = RngState(s)
     for n, pair in enumerate(islice(control_pairs(schedule, s), 3100)):
-        rng, d1, d2 = control_at_step(schedule, n, rng)
+        rng, d1, d2 = control_at_step(schedule, rng)
         assert repr(pair) == repr((d1, d2)), n
 
 
@@ -148,32 +146,46 @@ def test_channel_validation():
 
 
 def test_schedule_validation():
-    with pytest.raises(InvalidControl):
+    with pytest.raises(InvalidControl, match=r"channel mean must lie in \[0, 1\), got 1.2"):
         Constant(1.2, 0.0)
-    with pytest.raises(InvalidControl):
-        Sequence(())
-    with pytest.raises(InvalidControl):
-        Sequence(((0.2, 0.3), (-0.1, 0.0)))
+    with pytest.raises(InvalidControl, match="channel mean"):
+        Constant(0.5, -0.1)
 
 
-def test_constant_and_sequence_controls():
+@pytest.mark.parametrize("d1, d2", [(0.6, 0.0), (0.0, 0.3), (0.25, 0.75)])
+def test_constant_is_a_pair_of_constant_channels(d1, d2):
+    sch = Constant(d1, d2)
+    assert sch == Stochastic(ControlChannel(d1), ControlChannel(d2))
+    assert (sch.ch1.constant_value, sch.ch2.constant_value) == (d1, d2)
+    assert Constant(d1) == Stochastic(ControlChannel(d1), ControlChannel(0.0))
+
+
+def test_constant_controls_draw_two_words_a_step():
     rng = RngState(0)
     sch = Constant(0.6, 0.0)
-    for n in (0, 5, 123):
-        rng2, d1, d2 = control_at_step(sch, n, rng)
-        assert (d1, d2) == (0.6, 0.0)
-        assert rng2 is rng  # no draws consumed
-    seq = Sequence(((0.1, 0.2), (0.3, 0.4), (0.5, 0.6)))
-    _, d1, d2 = control_at_step(seq, 4, rng)
-    assert (d1, d2) == (0.3, 0.4)
+    for n in range(1, 4):
+        rng, d1, d2 = control_at_step(sch, rng)
+        assert repr((d1, d2)) == repr((0.6, 0.0))
+        assert rng.s == 2 * n * GOLDEN & M64  # the stream moves as under noise
+
+
+def test_negative_zero_constant_follows_the_draw():
+    # -0.0 + 0.0 * chi is -0.0 at chi = -1 and 0.0 at chi = +1: not constant.
+    sch = Constant(-0.0, 0.5)
+    assert sch.ch1.constant_value is None and sch.ch2.constant_value == 0.5
+    rng = RngState(7)
+    for pair in islice(control_pairs(sch, 7), 200):
+        state, z1 = next_rand(rng)
+        rng, _ = next_rand(state)
+        assert repr(pair) == repr((0.0 if bernoulli_pm1(z1) > 0 else -0.0, 0.5))
 
 
 def test_stochastic_realized_values():
     sch = Stochastic(ControlChannel(0.44, 0.3), ControlChannel(0.0))
     rng = stream_for_trial(0, 0)
     seen = set()
-    for n in range(200):
-        rng, d1, d2 = control_at_step(sch, n, rng)
+    for _ in range(200):
+        rng, d1, d2 = control_at_step(sch, rng)
         assert d1 in (pytest.approx(0.14), pytest.approx(0.74))
         assert d2 == 0.0
         seen.add(round(d1, 2))
@@ -183,8 +195,8 @@ def test_stochastic_realized_values():
 def test_zero_amplitude_is_constant():
     sch = Stochastic(ControlChannel(0.37, 0.0), ControlChannel(0.21, 0.0))
     rng = stream_for_trial(3, 0)
-    for n in range(50):
-        rng, d1, d2 = control_at_step(sch, n, rng)
+    for _ in range(50):
+        rng, d1, d2 = control_at_step(sch, rng)
         assert (d1, d2) == (0.37, 0.21)
 
 
@@ -193,9 +205,9 @@ def test_two_draws_consumed_even_with_zero_amplitude():
     a = Stochastic(ControlChannel(0.44, 0.3), ControlChannel(0.5, 0.0))
     b = Stochastic(ControlChannel(0.44, 0.3), ControlChannel(0.5, 0.3))
     rng_a = rng_b = stream_for_trial(17, 0)
-    for n in range(500):
-        rng_a, d1a, _ = control_at_step(a, n, rng_a)
-        rng_b, d1b, _ = control_at_step(b, n, rng_b)
+    for _ in range(500):
+        rng_a, d1a, _ = control_at_step(a, rng_a)
+        rng_b, d1b, _ = control_at_step(b, rng_b)
         assert d1a == d1b
     assert rng_a.s == rng_b.s
 
@@ -206,8 +218,8 @@ def test_admissible_channels_keep_controls_inside_unit_interval():
     )
     assert sch.ch1.admissible and sch.ch2.admissible
     rng = stream_for_trial(0, 0)
-    for n in range(5000):
-        rng, d1, d2 = control_at_step(sch, n, rng)
+    for _ in range(5000):
+        rng, d1, d2 = control_at_step(sch, rng)
         assert 0.0 < d1 < 1.0
         assert 0.0 < d2 < 1.0
 
@@ -221,8 +233,8 @@ def test_reproducibility_bit_identical():
     def run():
         rng = stream_for_trial(5, 2)
         out = []
-        for n in range(1000):
-            rng, d1, d2 = control_at_step(sch, n, rng)
+        for _ in range(1000):
+            rng, d1, d2 = control_at_step(sch, rng)
             out.append((d1, d2))
         return out
 

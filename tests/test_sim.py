@@ -18,7 +18,6 @@ from chaosctl import (
     Periodic,
     Point2,
     PointSet,
-    Sequence,
     SimConfig,
     Stochastic,
     Trajectory,
@@ -133,21 +132,11 @@ def test_signed_zero_channels_match_control_at_step(henon_std, alpha1, ell1, alp
     assert traj.steps_run == 700
     rng = stream_for_trial(0, 0)
     for n, pair in enumerate(traj.controls):
-        rng, d1, d2 = control_at_step(schedule, n, rng)
+        rng, d1, d2 = control_at_step(schedule, rng)
         assert repr(pair) == repr((d1, d2)), n
 
 
-def test_sequence_schedule_cycles(henon_std):
-    cfg = SimConfig(initial=Point2(0.3, 0.1), steps=900, seed=0)
-    seq = Sequence(((0.7, 0.0), (0.65, 0.1)))
-    traj = run_trajectory(henon_std, PLUS, seq, cfg)
-    assert traj.controls[0] == (0.7, 0.0)
-    assert traj.controls[1] == (0.65, 0.1)
-    assert traj.controls[2] == (0.7, 0.0)
-
-
 _unit = st.floats(0.0, 1.0, exclude_max=True)
-_pair = st.tuples(_unit, _unit)
 _channel = st.builds(
     ControlChannel,
     _unit,
@@ -156,7 +145,6 @@ _channel = st.builds(
 )
 _schedules = st.one_of(
     st.builds(Constant, _unit, _unit),
-    st.builds(Sequence, st.lists(_pair, min_size=1, max_size=5).map(tuple)),
     st.builds(Stochastic, _channel, _channel),
 )
 
@@ -179,7 +167,7 @@ def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps
     p = Point2(x0, y0)
     assert len(traj.points) == traj.steps_run + 1
     for n, q in enumerate(traj.points[1:]):
-        rng, d1, d2 = control_at_step(schedule, n, rng)
+        rng, d1, d2 = control_at_step(schedule, rng)
         p = vmtoc_step(params, star, d1, d2, p)
         assert repr((p.x, p.y)) == repr((q.x, q.y))
         assert repr(traj.controls[n]) == repr((d1, d2))
@@ -193,7 +181,7 @@ def _reference_run(params, branch, schedule, cfg, record):
     points, controls = [(p.x, p.y)], []
     outcome, in_tol, n = None, 0, 0
     for n in range(1, cfg.steps + 1):
-        rng, d1, d2 = control_at_step(schedule, n - 1, rng)
+        rng, d1, d2 = control_at_step(schedule, rng)
         p = vmtoc_step(params, star, d1, d2, p)
         points.append((p.x, p.y))
         controls.append((d1, d2))
