@@ -272,13 +272,8 @@ def _args_line(args) -> str:
 
 
 def _config(args, initial: Point2) -> SimConfig:
-    """SimConfig for --steps: the tail is the last min(200, steps) states."""
-    return SimConfig(
-        initial=initial,
-        steps=args.steps,
-        seed=_seed(args),
-        record_tail=min(200, args.steps),
-    )
+    """SimConfig of --steps and the seed, started at initial."""
+    return SimConfig(initial=initial, steps=args.steps, seed=_seed(args))
 
 
 def _cmd_simulate(args) -> tuple[Iterable[str], int]:

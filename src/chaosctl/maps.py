@@ -57,9 +57,6 @@ class Matrix2:
     a21: float
     a22: float
 
-    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return (self.a11, self.a12), (self.a21, self.a22)
-
 
 @dataclass(frozen=True)
 class MapParams:
@@ -108,7 +105,8 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
     Lozi:  x* = 1 / (1 +/- a - b), y* = b x*, which exists (with the sign of
     x* matching the branch) iff -a < 1 - b < a.
 
-    Raises DomainError when the equilibrium does not exist.
+    Raises DomainError when the equilibrium does not exist, or when it is
+    not finite or its denominator is 0 in floating point.
     """
     a, b = params.a, params.b
     sign = 1.0 if branch is Branch.PLUS else -1.0
@@ -122,8 +120,17 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
             raise DomainError(
                 f"lozi equilibria need -a < 1 - b < a, got a={a}, b={b}"
             )
-        xs = 1.0 / (1.0 + sign * a - b)
-    return Point2(xs, b * xs)
+        den = 1.0 + sign * a - b
+        if den == 0.0:
+            raise DomainError(
+                f"lozi equilibrium denominator 1 {'+' if sign > 0.0 else '-'} a - b"
+                f" rounds to 0, got a={a}, b={b}"
+            )
+        xs = 1.0 / den
+    star = Point2(xs, b * xs)
+    if not star.is_finite():
+        raise DomainError(f"equilibrium ({star.x}, {star.y}) is not finite for a={a}, b={b}")
+    return star
 
 
 def lipschitz_matrix(params: MapParams, branch: Branch, R: float) -> Matrix2:

@@ -19,10 +19,15 @@ controls; `run_trajectory` reads its controls after the loop from a fresh
 stream of the same schedule, cut to the steps run.  It returns raw (x, y)
 tuples; only `run_trajectory` builds `Point2` points and classifies the
 tail.  A run records all its states or only its tail: the states of its
-last record_tail steps, or the final state of a run that stopped before
-them.  Sweep cells, limit sets and Monte Carlo trials read the tail and the
-engine's outcome.  A run under a constant control pair stops once its state
-repeats bit for bit and replays the cycle, with identical output.
+last min(RECORD_TAIL, steps) steps, or the final state of a run that
+stopped before them.  Sweep cells, limit sets and Monte Carlo trials read
+the tail and the engine's outcome.  A run under a constant control pair
+stops once its state repeats bit for bit and replays the cycle, with
+identical output.
+
+One convergence rule serves the engine and the classifier: a run converges
+when its last min(CONV_WINDOW, steps) states are within CONV_TOL of the
+target in the max norm.
 """
 
 from __future__ import annotations
@@ -55,8 +60,14 @@ COLLAPSE_WINDOW = 50
 #: of control intensity (at 700-step runs), so this tolerance locates the
 #: collapse within about +0.004 of the true threshold.
 COLLAPSE_TOL = 2.5e-2
-#: Consecutive states within conv_tol of the target that count as converged.
+#: Consecutive states within CONV_TOL of the target that count as converged;
+#: a run shorter than the window converges when all its states are within.
 CONV_WINDOW = 50
+#: Max-norm distance from the target below which a state counts as reached.
+#: It is below PERIOD_TOL / 2, so a tail within it is always period-1.
+CONV_TOL = 1e-9
+#: States recorded as a run's tail: the last min(RECORD_TAIL, steps).
+RECORD_TAIL = 200
 #: Max-norm beyond which a state counts as escaped.
 ESCAPE_BOUND = 1e8
 #: Longest period, and the per-coordinate tolerance, of tail period detection.
@@ -72,23 +83,20 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run length, seed, convergence tolerance and tail size for one experiment."""
+    """Start, run length and seed of one experiment."""
 
     initial: Point2
     steps: int
     seed: int = 0
-    conv_tol: float = 1e-9
-    record_tail: int = 200
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
-        if self.conv_tol <= 0.0:
-            raise ValueError(f"conv_tol must be positive, got {self.conv_tol}")
-        if not 1 <= self.record_tail <= self.steps:
-            raise ValueError(
-                f"record_tail must be in [1, steps = {self.steps}], got {self.record_tail}"
-            )
+
+    @property
+    def record_tail(self) -> int:
+        """States in the run's tail: min(RECORD_TAIL, steps)."""
+        return min(RECORD_TAIL, self.steps)
 
     @property
     def transient(self) -> int:
@@ -200,34 +208,22 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _classify_points(
-    pts: list[tuple[float, float]],
-    steps_run: int,
-    target: Point2,
-    cfg: SimConfig,
-) -> Outcome:
-    """Classify a recorded tail.  pts is the last <= record_tail states."""
-    tail = pts[-cfg.record_tail :]
+def _classify_points(pts: list[tuple[float, float]], steps_run: int, target: Point2) -> Outcome:
+    """Classify a recorded tail, the last <= record_tail states of a run.
+
+    Converged when its last min(CONV_WINDOW, len(pts)) states are within
+    CONV_TOL of the target, else Periodic(k) for the least k <= PERIOD_MAX
+    that repeats the tail within PERIOD_TOL, else Bounded.
+    """
     tx, ty = target.x, target.y
-    window = tail[-CONV_WINDOW:]
-    if len(window) >= CONV_WINDOW and all(
-        max(abs(x - tx), abs(y - ty)) < cfg.conv_tol for x, y in window
-    ):
+    window = pts[-CONV_WINDOW:]
+    if window and all(max(abs(x - tx), abs(y - ty)) < CONV_TOL for x, y in window):
         return Converged(steps_run)
-    if len(tail) == 1 and max(abs(tail[0][0] - tx), abs(tail[0][1] - ty)) < cfg.conv_tol:
-        return Converged(steps_run)  # a lone state outside conv_tol is Bounded below
-    for k in range(1, PERIOD_MAX + 1):
-        if k >= len(tail):
-            break
+    for k in range(1, min(PERIOD_MAX + 1, len(pts))):
         if all(
-            max(abs(tail[i][0] - tail[i - k][0]), abs(tail[i][1] - tail[i - k][1]))
-            < PERIOD_TOL
-            for i in range(k, len(tail))
+            max(abs(pts[i][0] - pts[i - k][0]), abs(pts[i][1] - pts[i - k][1])) < PERIOD_TOL
+            for i in range(k, len(pts))
         ):
-            if k == 1 and all(
-                max(abs(x - tx), abs(y - ty)) < cfg.conv_tol for x, y in tail
-            ):
-                return Converged(steps_run)
             return Periodic(k)
     return Bounded()
 
@@ -243,8 +239,8 @@ def classify_tail(traj: Trajectory, target: Point2, cfg: SimConfig) -> Outcome:
         return traj.outcome
     if traj.steps_run < cfg.steps:
         raise InsufficientData(f"need {cfg.steps} steps, ran {traj.steps_run}")
-    pts = [(p.x, p.y) for p in traj.points]
-    return _classify_points(pts, traj.steps_run, target, cfg)
+    pts = [(p.x, p.y) for p in traj.points[-cfg.record_tail :]]
+    return _classify_points(pts, traj.steps_run, target)
 
 
 def _run_raw(
@@ -266,9 +262,11 @@ def _run_raw(
     (x, y) tuples of the states from step `first` on, with start as state
     0: first = 0 records the whole run, first = cfg.transient + 1 its tail.
     A run that stops before step first records its final state.  The
-    outcome is Escaped or Converged, found online or, for a tail shorter
-    than CONV_WINDOW, by `_tail_converged`; None means the tail is still to
-    be classified.
+    outcome is Escaped, or Converged once min(CONV_WINDOW, steps)
+    consecutive states are within CONV_TOL; None means the tail is still to
+    be classified.  A run shorter than CONV_WINDOW converges only at its
+    last step, when every state after the start is within CONV_TOL: that is
+    its whole tail within CONV_TOL, the classifier's rule.
 
     Under a constant control pair the next state is a pure function of the
     current one, so once a state repeats bit for bit the rest of the run is
@@ -281,10 +279,11 @@ def _run_raw(
     henon = params.kind is MapKind.HENON
     a, b = params.a, params.b
     tx, ty = target.x, target.y
-    bound, conv_tol = ESCAPE_BOUND, cfg.conv_tol
-    neg_bound, neg_tol = -bound, -conv_tol
+    bound, tol = ESCAPE_BOUND, CONV_TOL
+    neg_bound, neg_tol = -bound, -tol
     x, y = start.x, start.y
     steps, tail = cfg.steps, cfg.record_tail
+    window = min(CONV_WINDOW, steps)
 
     # Constant channels realize a constant pair; skipping the draws is
     # unobservable because each run owns its stream exclusively.
@@ -334,13 +333,13 @@ def _run_raw(
         if n >= first:
             rec.append((x, y))
         # The chained comparisons are abs(x) <= bound and abs(x - tx) <
-        # conv_tol for every double, inf included; a NaN state escapes.
+        # CONV_TOL for every double, inf included; a NaN state escapes.
         if not (neg_bound <= x <= bound and neg_bound <= y <= bound):
             outcome = Escaped(n)
             break
-        if neg_tol < x - tx < conv_tol and neg_tol < y - ty < conv_tol:
+        if neg_tol < x - tx < tol and neg_tol < y - ty < tol:
             in_tol += 1
-            if in_tol >= CONV_WINDOW:
+            if in_tol >= window:
                 outcome = Converged(n)
                 break
         else:
@@ -350,8 +349,8 @@ def _run_raw(
         rec.append((x, y))
     if period:
         # States done+1..done+period form the cycle; state m > done is
-        # cycle[(m - done - 1) % period].  Within period + CONV_WINDOW more
-        # steps the in_tol count either reaches CONV_WINDOW or never will.
+        # cycle[(m - done - 1) % period].  Within period + window more
+        # steps the in_tol count either reaches window or never will.
         done = n - 1
         p = Point2(x, y)
         cycle = []
@@ -359,11 +358,11 @@ def _run_raw(
             p = vmtoc_step(params, target, d1, d2, p)
             cycle.append((p.x, p.y))
         n = steps
-        for m in range(done + 1, min(n, done + period + CONV_WINDOW) + 1):
+        for m in range(done + 1, min(n, done + period + window) + 1):
             cx, cy = cycle[(m - done - 1) % period]
-            if neg_tol < cx - tx < conv_tol and neg_tol < cy - ty < conv_tol:
+            if neg_tol < cx - tx < tol and neg_tol < cy - ty < tol:
                 in_tol += 1
-                if in_tol >= CONV_WINDOW:
+                if in_tol >= window:
                     outcome = Converged(m)
                     n = m
                     break
@@ -372,25 +371,7 @@ def _run_raw(
         # a run that converges before step first records its final state
         fill = min(max(done + 1, first), n)
         rec.extend(cycle[(m - done - 1) % period] for m in range(fill, n + 1))
-    if outcome is None and tail < CONV_WINDOW and _tail_converged(rec[-tail:], n, target, cfg):
-        outcome = Converged(n)
     return rec, outcome, n
-
-
-def _tail_converged(
-    tail: list[tuple[float, float]], steps_run: int, target: Point2, cfg: SimConfig
-) -> bool:
-    """Whether `_classify_points` calls a tail shorter than CONV_WINDOW Converged.
-
-    Only such a tail can be Converged without converging online: a longer
-    one's last CONV_WINDOW states were not all within conv_tol, and the
-    period-1 branch needs the whole tail within conv_tol.  A short tail is
-    classified only if every state is within conv_tol.
-    """
-    tx, ty, tol = target.x, target.y, cfg.conv_tol
-    if not all(abs(x - tx) < tol and abs(y - ty) < tol for x, y in tail):
-        return False
-    return isinstance(_classify_points(tail, steps_run, target, cfg), Converged)
 
 
 def run_trajectory(
@@ -403,10 +384,10 @@ def run_trajectory(
 ) -> Trajectory:
     """Iterate the controlled map from cfg.initial for cfg.steps steps.
 
-    Stops early on convergence (CONV_WINDOW consecutive states within
-    conv_tol of the target in the max norm) or escape (max-norm beyond
-    ESCAPE_BOUND); otherwise classifies the recorded tail.  Bit-deterministic
-    for a fixed seed; uses trial stream 0 of cfg.seed.
+    Stops early on convergence (the last min(CONV_WINDOW, steps) states
+    within CONV_TOL of the target in the max norm) or escape (max-norm
+    beyond ESCAPE_BOUND); otherwise classifies the last record_tail states.
+    Bit-deterministic for a fixed seed; uses trial stream 0 of cfg.seed.
     """
     if record not in ("all", "tail"):
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
@@ -415,7 +396,7 @@ def run_trajectory(
     first = 0 if record == "all" else cfg.transient + 1
     rec, outcome, n = _run_raw(params, target, schedule, cfg, cfg.initial, s, first)
     if outcome is None:
-        outcome = _classify_points(rec, n, target, cfg)
+        outcome = _classify_points(rec[-cfg.record_tail :], n, target)
     # rec holds states start..n; keep the pairs that produced states max(start, 1)..n
     start = n + 1 - len(rec)
     return Trajectory(

@@ -29,6 +29,10 @@ from .maps import Branch, DomainError, MapKind, MapParams, fixed_point, lipschit
 #: Absolute bisection tolerances, well below every quoted reference digit.
 ALPHA_BISECTION_TOL = 1e-9
 ELL_BISECTION_TOL = 1e-6
+#: Absolute tolerance of the E ln nu quadrature.
+QUAD_TOL = 1e-10
+#: Draws of the Monte Carlo E ln nu.
+MC_SAMPLES = 1_000_000
 
 
 class Unstabilizable(Exception):
@@ -265,7 +269,7 @@ def _explog_single(c: float, w: float, dist: NoiseDist) -> float:
     return ((c + w) * math.log(c + w) - (c - w) * math.log(c - w)) / (2.0 * w) - 1.0
 
 
-def _explog_quadrature(model: NuModel, tol: float = 1e-10) -> float:
+def _explog_quadrature(model: NuModel) -> float:
     c, p, q = model.c, model.p, model.q
 
     def inner(x1: float) -> float:
@@ -274,13 +278,15 @@ def _explog_quadrature(model: NuModel, tol: float = 1e-10) -> float:
             return math.log(base)
         if model.dist2 is NoiseDist.BERNOULLI_PM1:
             return 0.5 * (math.log(base - q) + math.log(base + q))
-        return 0.5 * _adaptive_simpson(lambda x2: math.log(base + q * x2), -1.0, 1.0, tol * 0.01)
+        return 0.5 * _adaptive_simpson(
+            lambda x2: math.log(base + q * x2), -1.0, 1.0, QUAD_TOL * 0.01
+        )
 
     if p == 0.0:
         return inner(0.0)
     if model.dist1 is NoiseDist.BERNOULLI_PM1:
         return 0.5 * (inner(-1.0) + inner(1.0))
-    return 0.5 * _adaptive_simpson(inner, -1.0, 1.0, tol)
+    return 0.5 * _adaptive_simpson(inner, -1.0, 1.0, QUAD_TOL)
 
 
 def log_nu_draws(model: NuModel, seed: int) -> Iterator[float]:
@@ -322,25 +328,19 @@ def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float
     return mean, math.sqrt(var)
 
 
-def expected_log_nu(
-    model: NuModel,
-    method: str = "closed-form",
-    *,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> float:
+def expected_log_nu(model: NuModel, method: str = "closed-form", *, seed: int = 0) -> float:
     """E ln(c + p*chi_1 + q*chi_2) for the model's noise distributions.
 
     method="closed-form" uses exact expressions (four-point average for two
     Bernoulli channels, 0.5 ln(c^2 - p^2) for a single Bernoulli channel, the
     analytic antiderivative for a single uniform channel) and falls back to
     quadrature for mixed or double-uniform pairs.  method="quadrature" uses
-    adaptive Simpson to absolute tolerance 1e-10; method="monte-carlo" a
-    sample mean over `samples` draws.
+    adaptive Simpson to absolute tolerance QUAD_TOL; method="monte-carlo" a
+    sample mean over MC_SAMPLES draws of stream `seed`.
     """
     _check_model(model)
     if method == "monte-carlo":
-        return mc_log_nu(model, samples, seed)[0]
+        return mc_log_nu(model, MC_SAMPLES, seed)[0]
     if method == "quadrature":
         return _explog_quadrature(model)
     if method != "closed-form":
@@ -368,15 +368,13 @@ def min_noise_for_stability(
     alpha1: float,
     dist1: NoiseDist,
     ch2: ControlChannel,
-    *,
-    tol: float = ELL_BISECTION_TOL,
 ) -> float:
     """Smallest ell1 making E ln nu negative, all other inputs fixed.
 
     Searches the admissible interval ell1 in [0, min(alpha1, 1 - alpha1)) by
-    bisection to absolute tolerance `tol`.  Returns 0 when no noise is needed.
-    Raises NoWindow when even the largest admissible (and model-valid)
-    amplitude leaves the expected log non-negative.  The DomainError of
+    bisection to absolute tolerance ELL_BISECTION_TOL.  Returns 0 when no
+    noise is needed.  Raises NoWindow when even the largest admissible (and
+    model-valid) amplitude leaves the expected log non-negative.  The DomainError of
     `build_nu_model` (a bad radius, the spectral norm, no equilibrium) does
     not depend on ell1 and propagates from the first model built.
     """
@@ -416,7 +414,7 @@ def min_noise_for_stability(
             f"no admissible ell1 gives a negative expected log for alpha1={alpha1}"
         )
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > ELL_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         e_mid = explog(mid)
         if e_mid is not None and e_mid < 0.0:

@@ -363,10 +363,7 @@ def check_geometric_decay() -> CheckRow:
                 dx, dy = 0.5 * R * draw(), 0.5 * R * draw()
                 if 0.0 < vec_norm(dx, dy, norm) < R:
                     break
-            cfg = SimConfig(
-                initial=Point2(star.x + dx, star.y + dy),
-                steps=120, seed=trial, record_tail=120,
-            )
+            cfg = SimConfig(initial=Point2(star.x + dx, star.y + dy), steps=120, seed=trial)
             traj = run_trajectory(params, BRANCH, Stochastic(ch1, ch2), cfg)
             d0 = vec_norm(dx, dy, norm)
             budget = d0

@@ -41,6 +41,32 @@ def test_perfbench_imports_resolve():
     assert not missing
 
 
+def test_perfbench_calls_bind():
+    # every call perfbench makes to an imported chaosctl name binds to that
+    # name's signature, also the calls no test runs, such as the thread probe's
+    names = {name: getattr(importlib.import_module(module), name)
+             for _, module, name in _chaosctl_imports()}
+    calls, bad = 0, []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in names):
+                continue
+            calls += 1
+            # `f(*xs)` or `f(**kw)` fixes only the arguments it spells out
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            args = [None] * sum(not isinstance(a, ast.Starred) for a in node.args)
+            kwargs = {k.arg: None for k in node.keywords if k.arg is not None}
+            sig = inspect.signature(names[node.func.id])
+            try:
+                (sig.bind_partial if spread else sig.bind)(*args, **kwargs)
+            except TypeError as e:
+                bad.append(f"{path.name}:{node.lineno}: {node.func.id}: {e}")
+    assert calls
+    assert not bad
+
+
 def test_thread_speedup_metric_matches_mc_convergence():
     # probes.thread_speedup reports sim.thread_speedup only while
     # mc_convergence takes `threads`; the traced run needs every listed name.

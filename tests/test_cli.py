@@ -83,6 +83,20 @@ def test_domain_error_exit_1(capsys):
     assert "lozi" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--map", "henon", "--a", "1e308"],
+    ["threshold", "--map", "henon", "--a", "5e307"],
+    ["threshold", "--map", "henon", "--b", "1e308"],
+    ["simulate", "--map", "henon", "--a", "1e308", "--x0", "0", "--y0", "0", "--steps", "3"],
+    ["threshold", "--map", "lozi", "--a", "1e-17", "--b", "1"],
+], ids=["henon-nan", "henon-inf", "henon-b-inf", "simulate-nan", "lozi-zero-denominator"])
+def test_equilibrium_overflow_exit_1(argv, capsys):
+    # no NaN or infinite equilibrium reaches the output
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("chaosctl: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["explog", "minnoise"])
 @pytest.mark.parametrize("radius,shown", [("-1", "-1.0"), ("nan", "nan")])
 def test_bad_radius_exit_1(command, radius, shown, capsys):
@@ -257,8 +271,8 @@ _OFF_TARGET = ["--map", "henon", "--alpha1", "0.6", "--x0", "0.3", "--y0", "0.1"
 
 @pytest.mark.parametrize("steps", ["1", "2"])
 def test_one_state_tail_at_target_converges(steps, capsys):
-    # a 1-step run's tail is one state; within conv_tol it is Converged,
-    # as the 2-step run's two states are
+    # a run shorter than CONV_WINDOW converges when all its states are
+    # within CONV_TOL: the 1-step run's one state, the 2-step run's two
     rc, out, err = run_cli(["simulate", *_AT_TARGET, "--steps", steps], capsys)
     assert rc == 0, err
     assert f"# outcome: converged@{steps}\n" in out

@@ -62,6 +62,19 @@ def test_lozi_fixed_point_existence_condition():
         fixed_point(lozi(0.2, 0.5), Branch.PLUS)
 
 
+@pytest.mark.parametrize("params,branch", [
+    (henon(1e308), Branch.PLUS),  # (nan, nan)
+    (henon(5e307), Branch.PLUS),  # (inf, inf)
+    (henon(1.4, 1e308), Branch.PLUS),  # (inf, inf)
+    # the existence test passes, but 1 +/- a - b rounds to 0
+    (lozi(1e-17, 1.0), Branch.PLUS),
+    (lozi(1e-17, 1.0), Branch.MINUS),
+])
+def test_fixed_point_overflow_is_domain_error(params, branch):
+    with pytest.raises(DomainError):
+        fixed_point(params, branch)
+
+
 def test_param_validation():
     with pytest.raises(DomainError):
         MapParams(MapKind.HENON, -1.0, 0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -46,7 +47,7 @@ from chaosctl import (
 )
 from chaosctl import cli, sim, verify
 from chaosctl.control import control_at_step, sample_noise
-from chaosctl.sim import CONV_WINDOW, ESCAPE_BOUND, _cell_tail, _classify_points
+from chaosctl.sim import CONV_TOL, CONV_WINDOW, ESCAPE_BOUND, _cell_tail, _classify_points
 from chaosctl.stability import NuModel, mc_log_nu
 
 PLUS = Branch.PLUS
@@ -160,7 +161,7 @@ _schedules = st.one_of(
 )
 def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps, seed):
     # the engine must reproduce control_at_step + vmtoc_step bit for bit
-    cfg = SimConfig(initial=Point2(x0, y0), steps=steps, seed=seed, record_tail=steps)
+    cfg = SimConfig(initial=Point2(x0, y0), steps=steps, seed=seed)
     traj = run_trajectory(params, PLUS, schedule, cfg)
     star = fixed_point(params, PLUS)
     rng = stream_for_trial(seed, 0)
@@ -180,6 +181,7 @@ def _reference_run(params, branch, schedule, cfg, record):
     p = cfg.initial
     points, controls = [(p.x, p.y)], []
     outcome, in_tol, n = None, 0, 0
+    window = min(CONV_WINDOW, cfg.steps)
     for n in range(1, cfg.steps + 1):
         rng, d1, d2 = control_at_step(schedule, rng)
         p = vmtoc_step(params, star, d1, d2, p)
@@ -188,9 +190,9 @@ def _reference_run(params, branch, schedule, cfg, record):
         if not (abs(p.x) <= ESCAPE_BOUND and abs(p.y) <= ESCAPE_BOUND):
             outcome = Escaped(n)
             break
-        if max(abs(p.x - star.x), abs(p.y - star.y)) < cfg.conv_tol:
+        if max(abs(p.x - star.x), abs(p.y - star.y)) < CONV_TOL:
             in_tol += 1
-            if in_tol >= CONV_WINDOW:
+            if in_tol >= window:
                 outcome = Converged(n)
                 break
         else:
@@ -201,7 +203,7 @@ def _reference_run(params, branch, schedule, cfg, record):
         start = min(cfg.transient + 1, n)
         points, controls = points[start:], controls[start - 1:]
     if outcome is None:
-        outcome = _classify_points(points, n, star, cfg)
+        outcome = _classify_points(points[-cfg.record_tail:], n, star)
     return points, controls, outcome, n
 
 
@@ -214,43 +216,41 @@ def _bitwise_fixed_point(params, d1, d2):
 
 
 #: Constant-schedule runs that reach a bitwise cycle: name -> (params,
-#: branch, (d1, d2), initial state, conv_tol).  test_cycle_cases_cover
-#: checks that each shows what its name says.
+#: branch, (d1, d2), initial state).  test_cycle_cases_cover checks that
+#: each shows what its name says.
 _CYCLE_CASES = {
-    "period-2": (henon(), PLUS, (0.35, 0.0), Point2(0.1, 0.1), 1e-9),
-    "period-4": (henon(), PLUS, (0.2, 0.0), Point2(0.1, 0.1), 1e-9),
-    "period-4-lozi": (lozi(), PLUS, (0.2, 0.5), Point2(0.1, 0.1), 1e-9),
-    # starts on a bitwise fixed point inside conv_tol: the cycle is found at
+    "period-2": (henon(), PLUS, (0.35, 0.0), Point2(0.1, 0.1)),
+    "period-4": (henon(), PLUS, (0.2, 0.0), Point2(0.1, 0.1)),
+    "period-4-lozi": (lozi(), PLUS, (0.2, 0.5), Point2(0.1, 0.1)),
+    # starts on a bitwise fixed point inside CONV_TOL: the cycle is found at
     # step 1, and the replay must count the window to Converged(50)
     "converged-in-window": (
-        lozi(), PLUS, (0.6, 0.5), _bitwise_fixed_point(lozi(), 0.6, 0.5), 1e-9,
+        lozi(), PLUS, (0.6, 0.5), _bitwise_fixed_point(lozi(), 0.6, 0.5),
     ),
     # state 1 is (0.0, -0.0), equal to the initial (-0.0, 0.0) under `==`;
     # its image (0.0, 0.0) differs from state 1 in the sign of y
-    "signed-zero": (
-        lozi(1.5, 0.5), Branch.MINUS, (0.5, 0.0), Point2(-0.0, 0.0), 1e-9,
-    ),
+    "signed-zero": (lozi(1.5, 0.5), Branch.MINUS, (0.5, 0.0), Point2(-0.0, 0.0)),
 }
 
 
-#: Runs of named cycle cases: name -> (case, steps, record_tail, record).
-#: Batch runs record only the last record_tail states, so a cycle found
-#: before that window must be stepped again.  test_cycle_cases_cover checks
-#: that each shows what its name says.
+#: Runs of named cycle cases: name -> (case, steps, record).  Batch runs
+#: record only the last record_tail states, so a cycle found before that
+#: window must be stepped again.  test_cycle_cases_cover checks that each
+#: shows what its name says.
 _TAIL_CASES = {
-    "cycle-before-window": ("period-2", 600, 200, "tail"),
-    "cycle-inside-window": ("period-2", 100, 60, "tail"),
-    "converged-in-replay": ("converged-in-window", 400, 200, "tail"),
+    "cycle-before-window": ("period-2", 600, "tail"),
+    "cycle-inside-window": ("period-2", 240, "tail"),
+    "converged-in-replay": ("converged-in-window", 400, "tail"),
     # the states recorded when the loop ends already form a Converged tail
     # shorter than CONV_WINDOW, but the replay moves its step from 2 to 3
-    "short-tail-in-replay": ("converged-in-window", 3, 3, "all"),
+    "short-tail-in-replay": ("converged-in-window", 3, "all"),
 }
 
 
 def _tail_case(name):
-    case, steps, tail, record = _TAIL_CASES[name]
-    params, branch, (d1, d2), init, tol = _CYCLE_CASES[case]
-    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, record_tail=tail)
+    case, steps, record = _TAIL_CASES[name]
+    params, branch, (d1, d2), init = _CYCLE_CASES[case]
+    cfg = SimConfig(initial=init, steps=steps)
     return params, branch, Constant(d1, d2), cfg, record
 
 
@@ -284,8 +284,8 @@ def _first_repeat_period(points):
 
 def test_cycle_cases_cover():
     runs = {}
-    for name, (params, branch, (d1, d2), init, tol) in _CYCLE_CASES.items():
-        cfg = SimConfig(initial=init, steps=400, conv_tol=tol, record_tail=200)
+    for name, (params, branch, (d1, d2), init) in _CYCLE_CASES.items():
+        cfg = SimConfig(initial=init, steps=400)
         runs[name] = _reference_run(params, branch, Constant(d1, d2), cfg, "all")
     for name, period in (("period-2", 2), ("period-4", 4), ("period-4-lozi", 4)):
         points, _, outcome, n = runs[name]
@@ -316,16 +316,13 @@ def test_cycle_cases_cover():
 def _cycle_runs(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(_CYCLE_CASES)))
-        params, branch, (d1, d2), init, tol = _CYCLE_CASES[name]
+        params, branch, (d1, d2), init = _CYCLE_CASES[name]
     else:
         params = draw(st.sampled_from([henon(), lozi()]))
         branch = PLUS
         d1, d2 = draw(_unit), draw(st.sampled_from([0.0, 0.5, 0.9]))
         init = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        tol = draw(st.sampled_from([1e-9, 1e-15, 1e-3]))
-    steps = draw(st.integers(1, 600))
-    tail = draw(st.integers(1, steps))
-    cfg = SimConfig(initial=init, steps=steps, conv_tol=tol, record_tail=tail)
+    cfg = SimConfig(initial=init, steps=draw(st.integers(1, 600)))
     return params, branch, Constant(d1, d2), cfg, draw(st.sampled_from(["all", "tail"]))
 
 
@@ -364,30 +361,25 @@ def test_cycle_exit_matches_step_reference(run):
 _WINDOW_CASES = {
     "converged-before-window": dict(
         params=henon(), ch1=ControlChannel(0.6, 0.05), ch2=ControlChannel(0.0),
-        init=Point2(0.3, 0.1), steps=2000, tail=200, tol=1e-9, seed=0,
+        init=Point2(0.3, 0.1), steps=2000, seed=0,
     ),
     "escaped-before-window": dict(
         params=henon(), ch1=ControlChannel(0.1, 0.05, NoiseDist.UNIFORM_M1P1),
         ch2=ControlChannel(0.2, 0.1, NoiseDist.UNIFORM_M1P1),
-        init=Point2(10.0, 0.0), steps=300, tail=100, tol=1e-9, seed=0,
+        init=Point2(10.0, 0.0), steps=300, seed=0,
     ),
     # ell = 0 on both channels realizes a constant pair
     "cycle-exit": dict(
         params=lozi(), ch1=ControlChannel(0.4, 0.0), ch2=ControlChannel(0.0),
-        init=Point2(-10.0, -15.0), steps=2000, tail=200, tol=1e-9, seed=0,
+        init=Point2(-10.0, -15.0), steps=2000, seed=0,
     ),
 }
-
-
-def _window_config(init, steps, tail, tol, seed):
-    return SimConfig(initial=init, steps=steps, seed=seed, conv_tol=tol,
-                     record_tail=min(tail, steps))
 
 
 def test_window_cases_cover():
     runs = {}
     for name, case in _WINDOW_CASES.items():
-        cfg = _window_config(case["init"], case["steps"], case["tail"], case["tol"], case["seed"])
+        cfg = SimConfig(initial=case["init"], steps=case["steps"], seed=case["seed"])
         schedule = Stochastic(case["ch1"], case["ch2"])
         runs[name] = cfg, _reference_run(case["params"], PLUS, schedule, cfg, "all")
     cfg, (_, _, outcome, n) = runs["converged-before-window"]
@@ -405,17 +397,15 @@ def test_window_cases_cover():
     ch2=_channel,
     init=st.builds(Point2, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     steps=st.integers(1, 400),
-    tail=st.integers(1, 120),
-    tol=st.sampled_from([1e-9, 1e-3]),
     seed=st.integers(0, 2**64 - 1),
 )
 @example(**_WINDOW_CASES["converged-before-window"])
 @example(**_WINDOW_CASES["escaped-before-window"])
 @example(**_WINDOW_CASES["cycle-exit"])
-def test_tail_trajectory_is_the_window(params, ch1, ch2, init, steps, tail, tol, seed):
+def test_tail_trajectory_is_the_window(params, ch1, ch2, init, steps, seed):
     # Bernoulli and uniform channels: the tail is the states of the last
     # record_tail steps, or the final state of a run that stopped before them
-    cfg = _window_config(init, steps, tail, tol, seed)
+    cfg = SimConfig(initial=init, steps=steps, seed=seed)
     schedule = Stochastic(ch1, ch2)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
     points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "tail")
@@ -449,7 +439,7 @@ def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, se
     # 3100 steps draw 6200 words: every chunk size of control_pairs and two
     # chunks at its cap.
     schedule = Stochastic(ch1, ch2)
-    cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed, record_tail=3100)
+    cfg = SimConfig(initial=Point2(x0, y0), steps=3100, seed=seed)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="all")
     points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "all")
     assert traj.steps_run == n == 3100
@@ -470,27 +460,21 @@ def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, se
         st.builds(Constant, st.floats(0.3, 0.7), st.sampled_from([0.0, 0.5])),
         st.builds(Stochastic, _channel, _channel),
     ),
-    offset=st.sampled_from([0.0, 1e-6, 1e-3, 0.2]),
-    tol=st.sampled_from([1e-9, 1e-4, 1e-2]),
+    offset=st.sampled_from([0.0, 5e-10, 1e-6, 1e-3, 0.2]),
     steps=st.integers(1, 150),
-    tail=st.integers(1, 80),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_raw_converged_decision_matches_classify_tail(
-    params, schedule, offset, tol, steps, tail, seed
-):
+def test_raw_converged_decision_matches_classify_tail(params, schedule, offset, steps, seed):
     # sweep cells and Monte Carlo trials skip Trajectory and classify_tail
     star = fixed_point(params, PLUS)
-    tail = min(tail, steps)
-    cfg = SimConfig(initial=Point2(star.x + offset, star.y - offset), steps=steps,
-                    seed=seed, conv_tol=tol, record_tail=tail)
+    cfg = SimConfig(initial=Point2(star.x + offset, star.y - offset), steps=steps, seed=seed)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
     outcome = classify_tail(traj, star, cfg)
     cell = _cell_tail(params, star, schedule, cfg, cfg.initial, 0)
     if isinstance(outcome, Escaped):
         assert cell is None
     elif isinstance(outcome, Converged):
-        assert repr(cell) == repr([(traj.points[-1].x, traj.points[-1].y)] * tail)
+        assert repr(cell) == repr([(traj.points[-1].x, traj.points[-1].y)] * cfg.record_tail)
     else:
         assert repr(cell) == repr([(p.x, p.y) for p in traj.points])
     rep = mc_convergence(params, PLUS, schedule, PointSet((cfg.initial,)), 1, cfg)
@@ -512,22 +496,18 @@ def test_trajectory_determinism(henon_std):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(initial=Point2(0, 0), steps=0)
-    with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=100)  # tail does not fit
-    with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=2000, conv_tol=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=2000, record_tail=0)
-    with pytest.raises(ValueError):
-        SimConfig(initial=Point2(0, 0), steps=100, record_tail=101)
-    with pytest.raises(TypeError):  # the transient is what the tail leaves
-        SimConfig(initial=Point2(0, 0), steps=2000, transient=0)
+    # the tail, the transient and the tolerance are sim's, not the config's
+    for knob in ("transient", "record_tail", "conv_tol"):
+        with pytest.raises(TypeError):
+            SimConfig(initial=Point2(0, 0), steps=2000, **{knob: 1})
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["initial", "steps", "seed"]
 
 
 def test_config_transient_is_what_the_tail_leaves():
-    assert SimConfig(initial=Point2(0, 0), steps=2000).transient == 1800
-    assert SimConfig(initial=Point2(0, 0), steps=700, record_tail=150).transient == 550
-    assert SimConfig(initial=Point2(0, 0), steps=50, record_tail=50).transient == 0
+    # the tail is the last min(RECORD_TAIL, steps) states
+    for steps, tail in ((2000, 200), (201, 200), (200, 200), (50, 50), (1, 1)):
+        cfg = SimConfig(initial=Point2(0, 0), steps=steps)
+        assert (cfg.record_tail, cfg.transient) == (tail, steps - tail)
 
 
 # --- tail classification -------------------------------------------------------
@@ -564,12 +544,13 @@ def test_classify_early_outcomes_pass_through():
 
 
 def test_near_target_period_one_is_converged(henon_std):
-    # a tail hovering within conv_tol of the target counts as converged
+    # a tail hovering within CONV_TOL of the target counts as converged; one
+    # hovering just outside it is period-1 only
     star = fixed_point(henon_std, PLUS)
-    cfg = SimConfig(initial=star, steps=700, seed=0, conv_tol=1e-3)
-    pts = [Point2(star.x + 1e-5 * (-1) ** i * 0, star.y) for i in range(700)]
-    traj = _mk_traj(pts, 700)
-    assert isinstance(classify_tail(traj, star, cfg), Converged)
+    cfg = SimConfig(initial=star, steps=700, seed=0)
+    for dist, want in ((4e-10, Converged(700)), (2e-9, Periodic(1))):
+        pts = [Point2(star.x + dist * (-1) ** i, star.y - dist * (-1) ** i) for i in range(700)]
+        assert classify_tail(_mk_traj(pts, 700), star, cfg) == want
 
 
 # --- bifurcation sweeps ---------------------------------------------------------
@@ -805,10 +786,7 @@ def test_geometric_decay_under_certified_contraction(lozi_std):
     )
     star = fixed_point(lozi_std, PLUS)
     for trial in range(40):
-        cfg = SimConfig(
-            initial=Point2(star.x + 0.3, star.y - 0.2), steps=100, seed=trial,
-            record_tail=100,
-        )
+        cfg = SimConfig(initial=Point2(star.x + 0.3, star.y - 0.2), steps=100, seed=trial)
         traj = run_trajectory(lozi_std, PLUS, Stochastic(ch1, ch2), cfg)
         budget = vec_norm(0.3, -0.2, NormKind.LINF)
         for p in traj.points[1:]:
