@@ -5,7 +5,8 @@ Library layout:
 - maps:      map stepping, equilibria, local Lipschitz matrices
 - linalg2:   2x2 induced norms and the trace-determinant stability test
 - control:   the control schedule, the seeded noise source, the controlled step
-- stability: deterministic thresholds and expected-log-contraction analysis
+- stability: deterministic thresholds, expected-log-contraction analysis and
+             its law-of-large-numbers diagnostics
 - sim:       trajectory engine, sweeps, limit sets, Monte Carlo experiments
 - cli:       the `chaosctl` command-line front end with figure presets
 """
@@ -47,6 +48,7 @@ from .stability import (
     controlled_jacobian,
     controlled_lipschitz,
     expected_log_nu,
+    lln_average,
     local_threshold,
     min_noise_for_stability,
     norm_threshold,
@@ -69,7 +71,6 @@ from .sim import (
     collapse_alpha,
     default_init_grid,
     limit_set,
-    lln_average,
     mc_convergence,
     run_trajectory,
     wilson_interval,

@@ -279,14 +279,15 @@ def _config(args, initial: Point2) -> SimConfig:
 def _cmd_simulate(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
+    x0, y0 = traj.points[0]
     lines = [
         _args_line(args),
         f"# outcome: {traj.outcome}",
         "n,x,y,d1,d2",
-        f"0,{_fmt(traj.points[0].x)},{_fmt(traj.points[0].y)},,",
+        f"0,{_fmt(x0)},{_fmt(y0)},,",
     ]
-    for n, (p, (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1):
-        lines.append(f"{n},{_fmt(p.x)},{_fmt(p.y)},{_fmt(d1)},{_fmt(d2)}")
+    for n, ((x, y), (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1):
+        lines.append(f"{n},{_fmt(x)},{_fmt(y)},{_fmt(d1)},{_fmt(d2)}")
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -334,16 +335,9 @@ def _bifurcation_rows(res) -> Iterator[str]:
 
 def _cmd_limitset(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
-    pts = limit_set(
-        _params(args),
-        _branch(args),
-        _schedule(args),
-        [Point2(args.x0, args.y0)],
-        cfg,
-        threads=args.threads,
-    )
+    pts = limit_set(_params(args), _branch(args), _schedule(args), cfg)
     lines = [_args_line(args), "x,y"]
-    lines.extend(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
+    lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -354,7 +348,9 @@ def _cmd_threshold(args) -> tuple[Iterable[str], int]:
         v = norm_threshold(
             _params(args), _branch(args), args.radius, args.alpha2, _NORMS[args.norm]
         )
-    return [f"alpha_star,{v:.5g}\n"], 0
+    # a threshold is below 1, so where 5 digits round it to 1 print it whole
+    text = f"{v:.5g}"
+    return [f"alpha_star,{_fmt(v) if text == '1' else text}\n"], 0
 
 
 def _cmd_explog(args) -> tuple[Iterable[str], int]:

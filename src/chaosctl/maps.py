@@ -105,6 +105,11 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
     Lozi:  x* = 1 / (1 +/- a - b), y* = b x*, which exists (with the sign of
     x* matching the branch) iff -a < 1 - b < a.
 
+    The Henon root is taken in that textbook form where 4a >= (b-1)^2.
+    Below that, the root whose square root opposes b - 1 cancels, so both
+    roots come from q = (b-1) + sign(b-1) sqrt(4a + (b-1)^2), which does not
+    cancel: they are q / (2a) and -2 / q, since their product is -1/a.
+
     Raises DomainError when the equilibrium does not exist, or when it is
     not finite or its denominator is 0 in floating point.
     """
@@ -114,7 +119,11 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
         disc = 4.0 * a + (b - 1.0) * (b - 1.0)
         if disc < 0.0:
             raise DomainError(f"henon equilibria need 4a + (b-1)^2 >= 0, got {disc}")
-        xs = ((b - 1.0) + sign * math.sqrt(disc)) / (2.0 * a)
+        if 4.0 * a >= (b - 1.0) * (b - 1.0):
+            xs = ((b - 1.0) + sign * math.sqrt(disc)) / (2.0 * a)
+        else:
+            q = (b - 1.0) + math.copysign(math.sqrt(disc), b - 1.0)
+            xs = q / (2.0 * a) if (sign > 0.0) == (q > 0.0) else -2.0 / q
     else:
         if not (-a < 1.0 - b < a):
             raise DomainError(

@@ -1,14 +1,13 @@
 """Trajectory engine and experiment harness.
 
 Single controlled runs with tail classification, bifurcation sweeps, the
-collapse point of a sweep's diagram, limit sets, Monte Carlo convergence
-probabilities, and law-of-large-numbers diagnostics.  Every experiment
-decomposes into independent tasks with pre-assigned noise streams and
-aggregates results by task index.  Batches run serially by default;
-`threads` > 1 opts into a thread pool, and the output is identical either
-way.  `collapse_alpha` runs the cells of `bifurcation_sweep` one alpha at a
-time from the top of the grid down and stops at the first alpha that has
-not collapsed.
+collapse point of a sweep's diagram, limit sets and Monte Carlo convergence
+probabilities.  Every experiment decomposes into independent tasks with
+pre-assigned noise streams and aggregates results by task index.  Batches
+run serially by default; `threads` > 1 opts into a thread pool, and the
+output is identical either way.  `collapse_alpha` runs the cells of
+`bifurcation_sweep` one alpha at a time from the top of the grid down and
+stops at the first alpha that has not collapsed.
 
 One engine loop, `_run_raw`, serves every experiment.  It reads the
 coefficients (d * t, 1 - d) of the schedule's realized control pairs from
@@ -16,14 +15,15 @@ one stream, with no per-step branch: `repeat` of one tuple when both
 channels are constant by `ControlChannel.constant_value`, the rule the
 sampler reads too, and `control.control_pairs` otherwise.  It records no
 controls; `run_trajectory` reads its controls after the loop from a fresh
-stream of the same schedule, cut to the steps run.  It returns raw (x, y)
-tuples; only `run_trajectory` builds `Point2` points and classifies the
-tail.  A run records all its states or only its tail: the states of its
-last min(RECORD_TAIL, steps) steps, or the final state of a run that
-stopped before them.  Sweep cells, limit sets and Monte Carlo trials read
-the tail and the engine's outcome.  A run under a constant control pair
-stops once its state repeats bit for bit and replays the cycle, with
-identical output.
+stream of the same schedule, cut to the steps run.  It records raw (x, y)
+tuples, and that record is every run's result: `Trajectory.points`, a
+sweep cell's tail and a limit set.  `Point2` is only the type of a state
+passed in: the start, the target.  A run records all its states or only
+its tail: the states of its last min(RECORD_TAIL, steps) steps, or the
+final state of a run that stopped before them.  Sweep cells, limit sets
+and Monte Carlo trials read the tail and the engine's outcome.  A run
+under a constant control pair stops once its state repeats bit for bit and
+replays the cycle, with identical output.
 
 One convergence rule serves the engine and the classifier: a run converges
 when its last min(CONV_WINDOW, steps) states are within CONV_TOL of the
@@ -35,8 +35,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
-from operator import truediv
+from itertools import islice, repeat
 from typing import Callable, Optional, Union
 
 from .control import (
@@ -50,8 +49,7 @@ from .control import (
     uniform_m1p1,
     vmtoc_step,
 )
-from .maps import Branch, DomainError, MapKind, MapParams, Point2, fixed_point
-from .stability import NuModel, log_nu_draws
+from .maps import Branch, MapKind, MapParams, Point2, fixed_point
 
 #: Tail window (points per cell) used when measuring bifurcation collapse.
 COLLAPSE_WINDOW = 50
@@ -141,13 +139,14 @@ Outcome = Union[Converged, Periodic, Bounded, Escaped]
 class Trajectory:
     """A simulated orbit with the controls that produced it.
 
-    With record="all", points[0] is the initial state and controls[k] is the
-    pair applied to produce points[k+1].  With record="tail", points is the
-    run's tail, the states of its last record_tail steps or the final state
-    of a run that stopped before them, and controls[k] produced points[k].
+    points is the engine's own record of (x, y) tuples.  With record="all",
+    points[0] is the initial state and controls[k] is the pair applied to
+    produce points[k+1].  With record="tail", points is the run's tail, the
+    states of its last record_tail steps or the final state of a run that
+    stopped before them, and controls[k] produced points[k].
     """
 
-    points: list[Point2]
+    points: list[tuple[float, float]]
     controls: list[tuple[float, float]]
     outcome: Outcome
     steps_run: int
@@ -239,8 +238,7 @@ def classify_tail(traj: Trajectory, target: Point2, cfg: SimConfig) -> Outcome:
         return traj.outcome
     if traj.steps_run < cfg.steps:
         raise InsufficientData(f"need {cfg.steps} steps, ran {traj.steps_run}")
-    pts = [(p.x, p.y) for p in traj.points[-cfg.record_tail :]]
-    return _classify_points(pts, traj.steps_run, target)
+    return _classify_points(traj.points[-cfg.record_tail :], traj.steps_run, target)
 
 
 def _run_raw(
@@ -387,7 +385,8 @@ def run_trajectory(
     Stops early on convergence (the last min(CONV_WINDOW, steps) states
     within CONV_TOL of the target in the max norm) or escape (max-norm
     beyond ESCAPE_BOUND); otherwise classifies the last record_tail states.
-    Bit-deterministic for a fixed seed; uses trial stream 0 of cfg.seed.
+    The points are the engine's (x, y) record itself.  Bit-deterministic for
+    a fixed seed; uses trial stream 0 of cfg.seed.
     """
     if record not in ("all", "tail"):
         raise ValueError(f"record must be 'all' or 'tail', got {record!r}")
@@ -400,7 +399,7 @@ def run_trajectory(
     # rec holds states start..n; keep the pairs that produced states max(start, 1)..n
     start = n + 1 - len(rec)
     return Trajectory(
-        points=[Point2(px, py) for px, py in rec],
+        points=rec,
         controls=list(islice(control_pairs(schedule, s), max(start - 1, 0), n)),
         outcome=outcome,
         steps_run=n,
@@ -573,27 +572,15 @@ def limit_set(
     params: MapParams,
     branch: Branch,
     schedule: Stochastic,
-    inits: list[Point2],
     cfg: SimConfig,
-    threads: Optional[int] = None,
-) -> list[Point2]:
-    """Post-transient tail points over all initial states.
+) -> list[tuple[float, float]]:
+    """Post-transient (x, y) tail of one run from cfg.initial on trial stream 0.
 
-    One noise realization per initial state (stream = initial index).
-    Converged runs contribute their limit point; escaped runs contribute
-    nothing.
+    A converged run gives its limit point record_tail times; an escaped run
+    gives nothing.
     """
-    if not inits:
-        raise ValueError("need at least one initial state")
     target = fixed_point(params, branch)
-
-    def run_one(j: int) -> Optional[list[tuple[float, float]]]:
-        return _cell_tail(params, target, schedule, cfg, inits[j], j)
-
-    out: list[Point2] = []
-    for pts in _parallel_map(run_one, len(inits), threads):
-        out.extend(Point2(x, y) for x, y in pts or ())
-    return out
+    return _cell_tail(params, target, schedule, cfg, cfg.initial, 0) or []
 
 
 def mc_convergence(
@@ -635,19 +622,3 @@ def mc_convergence(
     converged = sum(flags)
     lo, hi = wilson_interval(converged, trials)
     return MonteCarloReport(trials, converged, converged / trials, lo, hi)
-
-
-def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
-    """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
-
-    The final entry converges to the model's expected log by the law of
-    large numbers; the draws are those of `stability.log_nu_draws`, which
-    `mc_log_nu` reads too.  The running sum adds left to right from 0.0, as
-    a loop of `+=` does.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not model.positive:
-        raise DomainError(f"nu can reach zero: need c > |p| + |q|, got c={model.c}")
-    totals = accumulate(islice(log_nu_draws(model, seed), n), initial=0.0)
-    return list(map(truediv, islice(totals, 1, None), range(1, n + 1)))

@@ -10,7 +10,10 @@ contraction factor in the l-inf or l1 norm reduces to an affine expression
 nu = c + p*chi_1 + q*chi_2, and convergence with arbitrarily high probability
 follows from E ln nu < 0.  This module builds that affine model, evaluates
 E ln nu exactly (closed forms), by adaptive Simpson quadrature, or by Monte
-Carlo, and solves for the smallest stabilizing noise amplitude.
+Carlo, and solves for the smallest stabilizing noise amplitude.  One
+sampler, `log_nu_draws`, gives the ln nu draws that the Monte Carlo
+estimate `mc_log_nu` and the law-of-large-numbers running averages
+`lln_average` both read.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from operator import add, mul
+from itertools import accumulate, islice
+from operator import add, mul, truediv
 from typing import Callable, Iterator, Optional
 
 from .control import ControlChannel, NoiseDist, step_values, stream_for_trial
@@ -41,6 +44,15 @@ class Unstabilizable(Exception):
 
 class NoWindow(Exception):
     """No admissible noise amplitude makes the expected log negative."""
+
+
+def _below_one(alpha: float) -> float:
+    """alpha, a threshold in [0, 1); Unstabilizable where it rounds to 1."""
+    if alpha >= 1.0:
+        raise Unstabilizable(
+            "the threshold rounds to 1: no control intensity in [0, 1) is certified"
+        )
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -103,7 +115,8 @@ def local_threshold(params: MapParams, branch: Branch, beta: float) -> float:
         Henon: 1 - alpha* = 1 / (2 a |x*| + (1 - beta) b)
         Lozi:  1 - alpha* = 1 / (a + (1 - beta) b)
 
-    clamped to [0, 1).
+    clamped below at 0.  Raises Unstabilizable where alpha* rounds to 1,
+    which happens once the denominator exceeds about 2^53.
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
@@ -112,7 +125,7 @@ def local_threshold(params: MapParams, branch: Branch, beta: float) -> float:
         denom = 2.0 * params.a * abs(star.x) + (1.0 - beta) * params.b
     else:
         denom = params.a + (1.0 - beta) * params.b
-    return max(0.0, 1.0 - 1.0 / denom)
+    return _below_one(max(0.0, 1.0 - 1.0 / denom))
 
 
 def norm_threshold(
@@ -132,7 +145,9 @@ def norm_threshold(
     spectral norm by bisection to ALPHA_BISECTION_TOL.
 
     Raises Unstabilizable when no alpha in [0, 1) achieves the bound (the
-    second row / column, which alpha cannot reduce, is already too large).
+    second row / column, which alpha cannot reduce, is already too large),
+    or when alpha* rounds to 1 (the spectral bisection then finds no alpha
+    below 1 that achieves it).
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
@@ -146,10 +161,10 @@ def norm_threshold(
             f"uncontrollable part (1-beta)*b = {row2} is not below {nu_star}"
         )
     if norm is NormKind.LINF:
-        return max(0.0, 1.0 - nu_star / (k1 + 1.0))
+        return _below_one(max(0.0, 1.0 - nu_star / (k1 + 1.0)))
     if norm is NormKind.L1:
         # Column sums: k1*(1-alpha) + (1-beta)*b and (1-alpha).
-        return max(0.0, 1.0 - (nu_star - row2) / k1, 1.0 - nu_star)
+        return _below_one(max(0.0, 1.0 - (nu_star - row2) / k1, 1.0 - nu_star))
 
     def norm_at(alpha: float) -> float:
         return induced_norm(controlled_lipschitz(params, branch, R, alpha, beta), norm)
@@ -163,7 +178,7 @@ def norm_threshold(
             hi = mid
         else:
             lo = mid
-    return hi
+    return _below_one(hi)
 
 
 def bounded_noise_safe(alpha: float, ell: float, alpha_star: float) -> bool:
@@ -265,8 +280,18 @@ def _explog_single(c: float, w: float, dist: NoiseDist) -> float:
         return math.log(c)
     if dist is NoiseDist.BERNOULLI_PM1:
         return 0.5 * math.log(c * c - w * w)
-    w = abs(w)  # the uniform density is symmetric
-    return ((c + w) * math.log(c + w) - (c - w) * math.log(c - w)) / (2.0 * w) - 1.0
+    # With u = w/c, E ln(c + w chi) = ln c + (atanh(u)/u - 1 + ln(1 - u^2)/2).
+    # The antiderivative form ((c+w) ln(c+w) - (c-w) ln(c-w))/(2w) - 1
+    # cancels as w -> 0; this one does not.  ln c is added last, so the
+    # bracket's rounding costs none of its low bits, and ln(1 - u^2) is
+    # log1p(u) + log1p(-u), since rounding u*u loses 1 - u^2 as u -> 1.  The
+    # uniform density is symmetric.
+    u = abs(w) / c
+    if u == 0.0:  # w underflows against c
+        return math.log(c)
+    return math.log(c) + (
+        math.atanh(u) / u - 1.0 + 0.5 * (math.log1p(u) + math.log1p(-u))
+    )
 
 
 def _explog_quadrature(model: NuModel) -> float:
@@ -311,7 +336,7 @@ def log_nu_draws(model: NuModel, seed: int) -> Iterator[float]:
 def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of ln nu.
 
-    Reads `log_nu_draws`, the samples `sim.lln_average` reads too.  Both
+    Reads `log_nu_draws`, the samples `lln_average` reads too.  Both
     sums add left to right from 0.0, as a loop of `+=` does, a block of
     samples at a time so that memory stays flat.
     """
@@ -328,13 +353,30 @@ def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float
     return mean, math.sqrt(var)
 
 
+def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
+    """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
+
+    The final entry converges to the model's expected log by the law of
+    large numbers; the draws are those of `log_nu_draws`, which `mc_log_nu`
+    reads too.  The running sum adds left to right from 0.0, as a loop of
+    `+=` does.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not model.positive:
+        raise DomainError(f"nu can reach zero: need c > |p| + |q|, got c={model.c}")
+    totals = accumulate(islice(log_nu_draws(model, seed), n), initial=0.0)
+    return list(map(truediv, islice(totals, 1, None), range(1, n + 1)))
+
+
 def expected_log_nu(model: NuModel, method: str = "closed-form", *, seed: int = 0) -> float:
     """E ln(c + p*chi_1 + q*chi_2) for the model's noise distributions.
 
     method="closed-form" uses exact expressions (four-point average for two
-    Bernoulli channels, 0.5 ln(c^2 - p^2) for a single Bernoulli channel, the
-    analytic antiderivative for a single uniform channel) and falls back to
-    quadrature for mixed or double-uniform pairs.  method="quadrature" uses
+    Bernoulli channels, 0.5 ln(c^2 - p^2) for a single Bernoulli channel,
+    ln c + atanh(u)/u + ln(1 - u^2)/2 - 1 with u = |p|/c for a single
+    uniform channel) and falls back to quadrature for mixed or
+    double-uniform pairs.  method="quadrature" uses
     adaptive Simpson to absolute tolerance QUAD_TOL; method="monte-carlo" a
     sample mean over MC_SAMPLES draws of stream `seed`.
     """

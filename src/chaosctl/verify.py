@@ -367,14 +367,14 @@ def check_geometric_decay() -> CheckRow:
             traj = run_trajectory(params, BRANCH, Stochastic(ch1, ch2), cfg)
             d0 = vec_norm(dx, dy, norm)
             budget = d0
-            for p in traj.points[1:]:
+            for x, y in traj.points[1:]:
                 budget *= worst
                 if budget < 1e-13:
                     # below this the state's absolute rounding floor (~1e-16
                     # around an O(1) equilibrium) dominates the exact bound
                     break
                 checks += 1
-                if vec_norm(p.x - star.x, p.y - star.y, norm) > budget * (1.0 + 1e-9):
+                if vec_norm(x - star.x, y - star.y, norm) > budget * (1.0 + 1e-9):
                     bad += 1
     return _row("6e-geometric-decay", bad == 0, f"{checks} per-step bounds, {bad} violations")
 

@@ -53,6 +53,17 @@ def test_explog_value(capsys):
     assert abs(float(value) - (-0.0016)) < 5e-4
 
 
+@pytest.mark.parametrize("method", ["closed-form", "quadrature"])
+def test_explog_small_uniform_noise_closed_form_is_the_quadrature(method, capsys):
+    # the antiderivative form printed 0.019712210696372745 here
+    rc, out, _ = run_cli(
+        ["explog", "--map", "henon", "--norm", "l1", "--alpha1", "0.44",
+         "--ell1", "1e-12", "--dist1", "uniform", "--alpha2", "0.9", "--method", method],
+        capsys,
+    )
+    assert (rc, out) == (0, "e_ln_nu,0.019767156153697188\n")
+
+
 def test_minnoise_line(capsys):
     rc, out, _ = run_cli(
         ["minnoise", "--map", "henon", "--norm", "linf", "--alpha1", "0.44"],
@@ -95,6 +106,26 @@ def test_equilibrium_overflow_exit_1(argv, capsys):
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("chaosctl: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("norm", [[], ["--norm", "linf"], ["--norm", "l1"], ["--norm", "spectral"]],
+                         ids=["local", "linf", "l1", "spectral"])
+def test_threshold_that_rounds_to_1_exits_1(norm, capsys):
+    # 1 - 1/denom rounds to 1.0 once denom passes about 2^53
+    rc, out, err = run_cli(["threshold", "--map", "henon", "--a", "1e200"] + norm, capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("chaosctl: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("norm,shown", [
+    ([], "0.9999994999999"),
+    (["--norm", "linf"], "0.999999500000075"),
+    (["--norm", "l1"], "0.9999996499998774"),
+], ids=["local", "linf", "l1"])
+def test_threshold_close_to_1_prints_its_digits(norm, shown, capsys):
+    # five significant digits would print 1
+    rc, out, _ = run_cli(["threshold", "--map", "henon", "--a", "1e12"] + norm, capsys)
+    assert (rc, out) == (0, f"alpha_star,{shown}\n")
 
 
 @pytest.mark.parametrize("command", ["explog", "minnoise"])

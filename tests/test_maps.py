@@ -1,8 +1,10 @@
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaosctl import (
     Branch,
@@ -126,6 +128,48 @@ def test_fixed_point_property(a, b, kind, branch):
     star = fixed_point(params, branch)
     nxt = map_step(params, star)
     assert max(abs(nxt.x - star.x), abs(nxt.y - star.y)) < 1e-12
+
+
+def _henon_root_reference(a, b, branch):
+    """x* of the Henon map to 80 digits, correctly rounded.  It uses the product
+    form: at 80 digits the textbook form itself cancels below about a = 1e-75."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        a, bm1 = decimal.Decimal(a), decimal.Decimal(b) - 1
+        root = (4 * a + bm1 * bm1).sqrt()
+        q = bm1 + root if bm1 >= 0 else bm1 - root
+        roots = (q / (2 * a), -2 / q)
+        return float(max(roots) if branch is Branch.PLUS else min(roots))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    log_a=st.floats(-300.0, 300.0),
+    b=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+    branch=st.sampled_from([Branch.PLUS, Branch.MINUS]),
+)
+@example(log_a=-17.0, b=0.3, branch=Branch.PLUS)
+@example(log_a=-17.0, b=1.5, branch=Branch.MINUS)
+@example(log_a=-2.0, b=1.0, branch=Branch.MINUS)
+def test_henon_fixed_point_within_4_ulps(log_a, b, branch):
+    # over log-uniform a in [1e-300, 1e300], both branches
+    a = 10.0 ** log_a
+    star = fixed_point(henon(a, b), branch)
+    ref = _henon_root_reference(a, b, branch)
+    if abs(star.x) >= sys.float_info.min:
+        assert abs(star.x - ref) <= 4 * math.ulp(ref), (star.x, ref)
+    assert star.y == b * star.x
+
+
+def test_henon_small_a_equilibria():
+    # the textbook form cancels to (0.0, 0.0) here
+    assert fixed_point(henon(1e-17), Branch.PLUS).x == pytest.approx(1 / 0.7, rel=1e-15)
+    assert fixed_point(henon(1e-17, 1.5), Branch.MINUS).x == pytest.approx(-2.0, rel=1e-15)
+
+
+def test_preset_equilibria_keep_their_bits(plus):
+    # every preset, golden digest and printed --x0 reads these
+    assert fixed_point(henon(), plus).x == 0.6313544770895047
+    assert fixed_point(henon(2.0, 0.5), plus).x == 0.5930703308172536
 
 
 @pytest.mark.parametrize("params,R", [(henon(), 0.36), (lozi(), 0.2)])

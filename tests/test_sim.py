@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -54,8 +56,8 @@ PLUS = Branch.PLUS
 
 
 def _diameter(points):
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
@@ -65,9 +67,9 @@ def test_constant_control_converges(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=2000, seed=0)
     traj = run_trajectory(henon_std, PLUS, Constant(0.6, 0.0), cfg)
     assert isinstance(traj.outcome, Converged)
-    final = traj.points[-1]
-    assert final.x == pytest.approx(0.6314, abs=1e-4)
-    assert max(abs(final.x - 0.631354), abs(final.y - 0.189406)) < 1e-6
+    fx, fy = traj.points[-1]
+    assert fx == pytest.approx(0.6314, abs=1e-4)
+    assert max(abs(fx - 0.631354), abs(fy - 0.189406)) < 1e-6
 
 
 def test_trajectory_matches_direct_iteration(henon_std):
@@ -76,12 +78,12 @@ def test_trajectory_matches_direct_iteration(henon_std):
     traj = run_trajectory(henon_std, PLUS, Constant(0.6, 0.0), cfg)
     star = fixed_point(henon_std, PLUS)
     x, y = 0.3, 0.1
-    for p in traj.points[1:]:
+    for q in traj.points[1:]:
         fx = y + 1.0 - 1.4 * x * x
         fy = 0.3 * x
         x = 0.6 * star.x + 0.4 * fx
         y = 0.0 * star.y + 1.0 * fy
-        assert (p.x, p.y) == (x, y)
+        assert q == (x, y)
 
 
 def test_two_cycle_without_noise(henon_std):
@@ -110,6 +112,32 @@ def test_uncontrolled_henon_is_bounded(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=2000, seed=0)
     traj = run_trajectory(henon_std, PLUS, Constant(0.0, 0.0), cfg, record="tail")
     assert traj.outcome == Bounded()
+
+
+def test_trajectory_points_are_the_engine_record(henon_std, monkeypatch):
+    # run_trajectory hands out _run_raw's list of (x, y) tuples, not a copy
+    records, run_raw = [], sim._run_raw
+
+    def spy(*args):
+        out = run_raw(*args)
+        records.append(out[0])
+        return out
+
+    monkeypatch.setattr(sim, "_run_raw", spy)
+    sched = Stochastic(ControlChannel(0.44, 0.3), ControlChannel(0.0))
+    for record in ("all", "tail"):
+        cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=0)
+        traj = run_trajectory(henon_std, PLUS, sched, cfg, record=record)
+        assert traj.points is records[-1]
+        assert all(type(p) is tuple for p in traj.points)
+
+
+def test_sim_imports_nothing_from_stability():
+    # sim depends on maps and control only
+    tree = ast.parse(inspect.getsource(sim))
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "stability"}
 
 
 def test_escape_detected_and_terminal(henon_std):
@@ -170,7 +198,7 @@ def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps
     for n, q in enumerate(traj.points[1:]):
         rng, d1, d2 = control_at_step(schedule, rng)
         p = vmtoc_step(params, star, d1, d2, p)
-        assert repr((p.x, p.y)) == repr((q.x, q.y))
+        assert repr((p.x, p.y)) == repr(q)
         assert repr(traj.controls[n]) == repr((d1, d2))
 
 
@@ -336,7 +364,7 @@ def test_cycle_exit_matches_step_reference(run):
     params, branch, schedule, cfg, record = run
     traj = run_trajectory(params, branch, schedule, cfg, record=record)
     points, controls, outcome, n = _reference_run(params, branch, schedule, cfg, record)
-    assert repr([(p.x, p.y) for p in traj.points]) == repr(points)
+    assert repr(traj.points) == repr(points)
     assert repr(traj.controls) == repr(controls)
     assert traj.outcome == outcome
     assert traj.steps_run == n
@@ -409,7 +437,7 @@ def test_tail_trajectory_is_the_window(params, ch1, ch2, init, steps, seed):
     schedule = Stochastic(ch1, ch2)
     traj = run_trajectory(params, PLUS, schedule, cfg, record="tail")
     points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, "tail")
-    assert repr([(p.x, p.y) for p in traj.points]) == repr(points)
+    assert repr(traj.points) == repr(points)
     assert repr(traj.controls) == repr(controls)
     assert (traj.outcome, traj.steps_run) == (outcome, n)
     assert len(traj.points) == (n - cfg.transient if n > cfg.transient else 1)
@@ -446,8 +474,8 @@ def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, se
     assert (len(traj.points), len(traj.controls)) == (len(points), len(controls))
     # item by item: a failing assert on two long reprs makes every shrink
     # step diff them
-    for i, (p, q) in enumerate(zip(traj.points, points)):
-        assert repr((p.x, p.y)) == repr(q), i
+    for i, (got, want) in enumerate(zip(traj.points, points)):
+        assert repr(got) == repr(want), i
     for i, (got, want) in enumerate(zip(traj.controls, controls)):
         assert repr(got) == repr(want), i
     assert traj.outcome == outcome
@@ -474,9 +502,9 @@ def test_raw_converged_decision_matches_classify_tail(params, schedule, offset, 
     if isinstance(outcome, Escaped):
         assert cell is None
     elif isinstance(outcome, Converged):
-        assert repr(cell) == repr([(traj.points[-1].x, traj.points[-1].y)] * cfg.record_tail)
+        assert repr(cell) == repr([traj.points[-1]] * cfg.record_tail)
     else:
-        assert repr(cell) == repr([(p.x, p.y) for p in traj.points])
+        assert repr(cell) == repr(traj.points)
     rep = mc_convergence(params, PLUS, schedule, PointSet((cfg.initial,)), 1, cfg)
     assert rep.converged == isinstance(outcome, Converged)
 
@@ -519,14 +547,13 @@ def _mk_traj(points, steps_run):
 def test_classify_constant_at_target(henon_std):
     star = fixed_point(henon_std, PLUS)
     cfg = SimConfig(initial=star, steps=700, seed=0)
-    traj = _mk_traj([star] * 700, 700)
+    traj = _mk_traj([(star.x, star.y)] * 700, 700)
     assert isinstance(classify_tail(traj, star, cfg), Converged)
 
 
 def test_classify_two_cycle():
     cfg = SimConfig(initial=Point2(0, 0), steps=700, seed=0)
-    a, b = Point2(0.25, 0.0), Point2(0.75, 0.0)
-    traj = _mk_traj([a, b] * 350, 700)
+    traj = _mk_traj([(0.25, 0.0), (0.75, 0.0)] * 350, 700)
     assert classify_tail(traj, Point2(0.5, 0.0), cfg) == Periodic(2)
 
 
@@ -549,7 +576,7 @@ def test_near_target_period_one_is_converged(henon_std):
     star = fixed_point(henon_std, PLUS)
     cfg = SimConfig(initial=star, steps=700, seed=0)
     for dist, want in ((4e-10, Converged(700)), (2e-9, Periodic(1))):
-        pts = [Point2(star.x + dist * (-1) ** i, star.y - dist * (-1) ** i) for i in range(700)]
+        pts = [(star.x + dist * (-1) ** i, star.y - dist * (-1) ** i) for i in range(700)]
         assert classify_tail(_mk_traj(pts, 700), star, cfg) == want
 
 
@@ -685,24 +712,39 @@ def test_bifurcation_input_validation(henon_std):
 
 def test_limit_set_collapses_above_threshold(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=0)
-    pts = limit_set(henon_std, PLUS, Constant(0.6, 0.0), [Point2(0.3, 0.1)], cfg)
+    pts = limit_set(henon_std, PLUS, Constant(0.6, 0.0), cfg)
     star = fixed_point(henon_std, PLUS)
     assert len(pts) == cfg.record_tail
-    assert all(max(abs(p.x - star.x), abs(p.y - star.y)) < 1e-6 for p in pts)
+    assert all(max(abs(x - star.x), abs(y - star.y)) < 1e-6 for x, y in pts)
 
 
 def test_limit_set_blurred_two_cycle(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=0)
     sched = Stochastic(ControlChannel(0.44, 0.05), ControlChannel(0.0))
-    pts = limit_set(henon_std, PLUS, sched, [Point2(0.3, 0.1)], cfg)
+    pts = limit_set(henon_std, PLUS, sched, cfg)
     assert _diameter(pts) > 0.1
 
 
 def test_limit_set_stabilized(henon_std):
     cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=0)
     sched = Stochastic(ControlChannel(0.44, 0.3), ControlChannel(0.0))
-    pts = limit_set(henon_std, PLUS, sched, [Point2(0.3, 0.1)], cfg)
+    pts = limit_set(henon_std, PLUS, sched, cfg)
     assert _diameter(pts) < 1e-4
+
+
+def test_limit_set_of_an_escaping_start_is_empty(henon_std):
+    cfg = SimConfig(initial=Point2(10.0, 0.0), steps=700, seed=0)
+    assert limit_set(henon_std, PLUS, Constant(0.0, 0.0), cfg) == []
+
+
+def test_limit_set_is_one_run_from_the_config_start(henon_std):
+    # one orbit from cfg.initial on trial stream 0: the tail of run_trajectory
+    assert list(inspect.signature(limit_set).parameters) == ["params", "branch", "schedule", "cfg"]
+    sched = Stochastic(ControlChannel(0.44, 0.05), ControlChannel(0.0))
+    for seed in (0, 5):
+        cfg = SimConfig(initial=Point2(0.3, 0.1), steps=700, seed=seed)
+        traj = run_trajectory(henon_std, PLUS, sched, cfg, record="tail")
+        assert repr(limit_set(henon_std, PLUS, sched, cfg)) == repr(traj.points)
 
 
 # --- Monte Carlo convergence ----------------------------------------------------
@@ -789,11 +831,11 @@ def test_geometric_decay_under_certified_contraction(lozi_std):
         cfg = SimConfig(initial=Point2(star.x + 0.3, star.y - 0.2), steps=100, seed=trial)
         traj = run_trajectory(lozi_std, PLUS, Stochastic(ch1, ch2), cfg)
         budget = vec_norm(0.3, -0.2, NormKind.LINF)
-        for p in traj.points[1:]:
+        for x, y in traj.points[1:]:
             budget *= worst
             if budget < 1e-13:
                 break
-            assert vec_norm(p.x - star.x, p.y - star.y, NormKind.LINF) <= budget * (1 + 1e-9)
+            assert vec_norm(x - star.x, y - star.y, NormKind.LINF) <= budget * (1 + 1e-9)
 
 
 # --- running log averages ---------------------------------------------------------

@@ -1,8 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 from chaosctl import (
     Branch,
@@ -21,6 +23,7 @@ from chaosctl import (
     fixed_point,
     henon,
     induced_norm,
+    lln_average,
     local_threshold,
     lozi,
     min_noise_for_stability,
@@ -142,6 +145,31 @@ def test_unstabilizable_when_second_row_too_large():
     params = lozi(1.4, 1.2)
     with pytest.raises(Unstabilizable):
         norm_threshold(params, PLUS, 0.05, 0.0, NormKind.LINF)
+
+
+@pytest.mark.parametrize("norm", [None, *NormKind], ids=["local", *(n.value for n in NormKind)])
+def test_threshold_that_rounds_to_1_is_unstabilizable(norm):
+    # 1 - 1/denom is exactly 1.0 once denom passes about 2^53
+    with pytest.raises(Unstabilizable):
+        if norm is None:
+            local_threshold(henon(1e200), PLUS, 0.0)
+        else:
+            norm_threshold(henon(1e200), PLUS, 0.0, 0.0, norm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_a=st.floats(-3.0, 300.0), beta=st.floats(0.0, 0.99))
+def test_thresholds_stay_below_1(log_a, beta):
+    params = henon(10.0 ** log_a)
+    for norm in (None, *NormKind):
+        try:
+            if norm is None:
+                v = local_threshold(params, PLUS, beta)
+            else:
+                v = norm_threshold(params, PLUS, 0.0, beta, norm)
+        except Unstabilizable:
+            continue
+        assert 0.0 <= v < 1.0
 
 
 # --- worst-case noise safety --------------------------------------------------
@@ -277,6 +305,35 @@ def test_explog_closed_form_vs_quadrature():
         closed = expected_log_nu(model, "closed-form")
         quad = expected_log_nu(model, "quadrature")
         assert abs(closed - quad) < 1e-9
+
+
+def _explog_uniform_reference(c, w):
+    """E ln(c + w chi), chi uniform on [-1, 1], from the antiderivative at 70 digits."""
+    with decimal.localcontext(decimal.Context(prec=70)):
+        c, w = decimal.Decimal(c), decimal.Decimal(w)
+        return float(((c + w) * (c + w).ln() - (c - w) * (c - w).ln()) / (2 * w) - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_c=st.floats(-3.0, 3.0), log_u=st.floats(-15.0, math.log10(1.0 - 1e-12)))
+@example(log_c=math.log10(1.3), log_u=-12.0)
+def test_explog_single_uniform_is_accurate(log_c, log_u):
+    # c in [1e-3, 1e3] and w/c in [1e-15, 1), against a 70-digit reference
+    c = 10.0 ** log_c
+    w = c * 10.0 ** log_u
+    model = NuModel(c=c, p=w, q=0.0, dist1=UNIF, dist2=BERN, regime_ok=True)
+    assert abs(expected_log_nu(model) - _explog_uniform_reference(c, w)) <= 1e-13
+
+
+def test_explog_single_uniform_noise_below_the_underflow():
+    # w/c rounds to 0: the antiderivative form gave 0/(2w) - 1 = -1 here
+    model = NuModel(c=2.0, p=5e-324, q=0.0, dist1=UNIF, dist2=BERN, regime_ok=True)
+    assert expected_log_nu(model) == math.log(2.0)
+
+
+def test_lln_average_is_exported_from_stability():
+    # it reads log_nu_draws, as mc_log_nu does
+    assert lln_average.__module__ == "chaosctl.stability"
 
 
 def test_explog_quadrature_vs_scipy():
