@@ -13,10 +13,16 @@ written, because the `# escaped_cells:` header needs the full count; an error
 in the sweep therefore writes nothing.  A reader that closes stdout early
 (`| head`) ends the output quietly.
 
+One parser serves every command of a process: it is built on the first
+parse and reused, and `repro` parses its preset with it too.
+`build_parser()` still returns a new parser on each call.
+
 Every CSV starts with `#`-prefixed comments; the `# args:` line holds the
 canonical flag set, so re-running the printed flags reproduces the file
-byte-for-byte.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
-environment variable overrides it and an explicit --seed flag wins over both.
+byte-for-byte.  Trajectory and limit-set rows are the `repr` of Python
+floats, the shortest round-trip decimals.  The default seed is 0 (never
+time-based); the CHAOSCTL_SEED environment variable overrides it and an
+explicit --seed flag wins over both.
 
 Exit status: 0 success, 1 domain/analysis errors or an --out file that
 cannot be written, 2 usage errors (including a non-finite --x0/--y0 and a
@@ -26,6 +32,7 @@ cannot be written, 2 usage errors (including a non-finite --x0/--y0 and a
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -284,10 +291,13 @@ def _cmd_simulate(args) -> tuple[Iterable[str], int]:
         _args_line(args),
         f"# outcome: {traj.outcome}",
         "n,x,y,d1,d2",
-        f"0,{_fmt(x0)},{_fmt(y0)},,",
+        f"0,{x0!r},{y0!r},,",
     ]
-    for n, ((x, y), (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1):
-        lines.append(f"{n},{_fmt(x)},{_fmt(y)},{_fmt(d1)},{_fmt(d2)}")
+    # states and controls are Python floats, so repr is _fmt
+    lines.extend(
+        f"{n},{x!r},{y!r},{d1!r},{d2!r}"
+        for n, ((x, y), (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1)
+    )
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -337,7 +347,7 @@ def _cmd_limitset(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     pts = limit_set(_params(args), _branch(args), _schedule(args), cfg)
     lines = [_args_line(args), "x,y"]
-    lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    lines.extend(f"{x!r},{y!r}" for x, y in pts)
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -429,9 +439,15 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on its first use, not at import."""
+    return build_parser()
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv; `repro` is replaced by its preset, parsed with the same parser."""
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command != "repro":
         return args

@@ -109,6 +109,8 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
     Below that, the root whose square root opposes b - 1 cancels, so both
     roots come from q = (b-1) + sign(b-1) sqrt(4a + (b-1)^2), which does not
     cancel: they are q / (2a) and -2 / q, since their product is -1/a.
+    The Lozi denominator for small a is summed as (1 - b) +/- a, for the
+    same reason.
 
     Raises DomainError when the equilibrium does not exist, or when it is
     not finite or its denominator is 0 in floating point.
@@ -129,7 +131,10 @@ def fixed_point(params: MapParams, branch: Branch) -> Point2:
             raise DomainError(
                 f"lozi equilibria need -a < 1 - b < a, got a={a}, b={b}"
             )
-        den = 1.0 + sign * a - b
+        # For a < 0.5, existence puts b in (0.5, 1.5), where 1 - b is exact
+        # (Sterbenz) and adding +/- a last does not cancel.  Elsewhere the
+        # textbook order is kept, so the preset equilibria keep their bits.
+        den = (1.0 - b) + sign * a if a < 0.5 else 1.0 + sign * a - b
         if den == 0.0:
             raise DomainError(
                 f"lozi equilibrium denominator 1 {'+' if sign > 0.0 else '-'} a - b"

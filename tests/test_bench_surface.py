@@ -6,14 +6,17 @@ These tests read perfbench/ and BENCHMARK.json and change nothing there.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import pathlib
 
 import pytest
 
+from chaosctl import cli
 from chaosctl.sim import mc_convergence
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -75,12 +78,17 @@ def test_thread_speedup_metric_matches_mc_convergence():
     assert ("threads" in inspect.signature(mc_convergence).parameters) == listed
 
 
-@pytest.fixture(scope="module")
-def probes():
-    spec = importlib.util.spec_from_file_location("perfbench_probes", BENCH / "probes.py")
+def _load(name):
+    """A perfbench module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def probes():
+    return _load("probes")
 
 
 def test_step_probes_run_every_step(probes):
@@ -89,3 +97,23 @@ def test_step_probes_run_every_step(probes):
     assert probes.STEP_PROBES
     for params, schedule, steps in probes.STEP_PROBES.values():
         probes._steps(params, schedule, steps)
+
+
+def test_interactive_jobs_match_golden_digests(tmp_path):
+    # every interactive job at every program seed, in one process as the
+    # benchmark child runs them, hashed by the child's own digest
+    child, workloads = _load("child"), _load("workloads")
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["interactive"]
+    assert len(golden) == workloads.PROGRAM_SEEDS
+    wrong = []
+    for seed in range(workloads.PROGRAM_SEEDS):
+        want = golden[workloads.golden_key("interactive", seed)]
+        got = {}
+        for job in workloads.jobs("interactive", seed, str(tmp_path)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                status = cli.run_command(job.argv)
+            got[job.id] = child._check_output(status, out.getvalue(), job.out)["digest"]
+        assert got.keys() == want.keys()
+        wrong += [f"seed {seed}: {k}" for k in want if got[k] != want[k]]
+    assert not wrong

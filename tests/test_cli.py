@@ -99,7 +99,7 @@ def test_domain_error_exit_1(capsys):
     ["threshold", "--map", "henon", "--a", "5e307"],
     ["threshold", "--map", "henon", "--b", "1e308"],
     ["simulate", "--map", "henon", "--a", "1e308", "--x0", "0", "--y0", "0", "--steps", "3"],
-    ["threshold", "--map", "lozi", "--a", "1e-17", "--b", "1"],
+    ["threshold", "--map", "lozi", "--a", "0.5000000000000001", "--b", "1.5"],
 ], ids=["henon-nan", "henon-inf", "henon-b-inf", "simulate-nan", "lozi-zero-denominator"])
 def test_equilibrium_overflow_exit_1(argv, capsys):
     # no NaN or infinite equilibrium reaches the output
@@ -637,3 +637,72 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert proc.stdout == "alpha_star,0.51639\n"
     assert proc.stderr == ""
+
+
+_SIMULATE_NO_SEED = ["simulate", "--map", "henon", "--alpha1", "0.44", "--ell1", "0.3",
+                     "--x0", "0.3", "--y0", "0.1", "--steps", "300"]
+
+
+def _fresh_process(argv, env):
+    proc = subprocess.run([sys.executable, "-m", "chaosctl.cli", *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one parser serves every command of the process; no command may leave
+    # state in it that changes a later one
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    monkeypatch.delenv("CHAOSCTL_SEED", raising=False)
+    cli._parser.cache_clear()
+    steps = [
+        (["repro", "fig99x"], None),
+        (["--help"], None),
+        (["repro", "fig3b", "--seed", "3"], None),
+        (_SIMULATE_NO_SEED, "7"),
+        (_SIMULATE_NO_SEED, None),
+        (["threshold", "--map", "henon", "--beta", "0"], None),
+        (["explog", "--map", "lozi", "--norm", "l1", "--alpha1", "0.27", "--alpha2", "0.9",
+          "--ell1", "0.2", "--ell2", "0.55"], None),
+        (["repro", "fig3d"], None),
+    ]
+    statuses = []
+    for argv, env_seed in steps:
+        if env_seed is None:
+            monkeypatch.delenv("CHAOSCTL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CHAOSCTL_SEED", env_seed)
+        rc = cli.run_command(argv)
+        out = capsys.readouterr().out.encode()
+        assert (rc, out) == _fresh_process(argv, dict(os.environ)), argv
+        statuses.append(rc)
+    assert statuses == [2, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(5):
+        assert cli.run_command(["threshold", "--map", "henon", "--beta", "0"]) == 0
+        assert cli.run_command(["repro", "fig3a"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # build_parser itself stays a constructor
+    assert build_parser() is not build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    # the benchmark's setup time counts one build after the import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import chaosctl.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chaosctl import (
     Branch,
@@ -68,9 +68,9 @@ def test_lozi_fixed_point_existence_condition():
     (henon(1e308), Branch.PLUS),  # (nan, nan)
     (henon(5e307), Branch.PLUS),  # (inf, inf)
     (henon(1.4, 1e308), Branch.PLUS),  # (inf, inf)
-    # the existence test passes, but 1 +/- a - b rounds to 0
-    (lozi(1e-17, 1.0), Branch.PLUS),
-    (lozi(1e-17, 1.0), Branch.MINUS),
+    # the existence test passes, but 1 + a - b rounds to 0
+    (lozi(0.5 + 2**-53, 1.5), Branch.PLUS),
+    (lozi(1e-310, 1.0), Branch.MINUS),  # (-inf, -inf)
 ])
 def test_fixed_point_overflow_is_domain_error(params, branch):
     with pytest.raises(DomainError):
@@ -164,6 +164,43 @@ def test_henon_small_a_equilibria():
     # the textbook form cancels to (0.0, 0.0) here
     assert fixed_point(henon(1e-17), Branch.PLUS).x == pytest.approx(1 / 0.7, rel=1e-15)
     assert fixed_point(henon(1e-17, 1.5), Branch.MINUS).x == pytest.approx(-2.0, rel=1e-15)
+
+
+def _lozi_root_reference(a, b, branch):
+    """x* of the Lozi map to 80 digits, correctly rounded.  It sums the exact
+    1 - b first: at 80 digits 1 +/- a - b itself cancels below about a = 1e-75."""
+    sign = 1 if branch is Branch.PLUS else -1
+    with decimal.localcontext(decimal.Context(prec=80)):
+        den = (1 - decimal.Decimal(b)) + sign * decimal.Decimal(a)
+        return float(1 / den)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    log_a=st.floats(-300.0, math.log10(0.5), exclude_max=True),
+    t=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    branch=st.sampled_from([Branch.PLUS, Branch.MINUS]),
+)
+# summed as 1 + a - b, these cancel to 6666666115.06 (6666666482.80 is right)
+# and to a zero denominator
+@example(log_a=-10.0, t=-0.5, branch=Branch.PLUS)
+@example(log_a=-17.0, t=0.0, branch=Branch.PLUS)
+@example(log_a=-17.0, t=0.0, branch=Branch.MINUS)
+def test_lozi_small_a_fixed_point_within_4_ulps(log_a, t, branch):
+    # over log-uniform a in [1e-300, 0.5) and b = 1 + t a inside the
+    # existence interval, both branches
+    a = 10.0 ** log_a
+    b = 1.0 + t * a
+    assume(a < 0.5 and -a < 1.0 - b < a)
+    star = fixed_point(lozi(a, b), branch)
+    ref = _lozi_root_reference(a, b, branch)
+    assert abs(star.x - ref) <= 4 * math.ulp(ref), (star.x, ref)
+    assert star.y == b * star.x
+
+
+def test_lozi_preset_equilibrium_keeps_its_bits(plus):
+    # a >= 0.5 keeps the order 1 + a - b: (1 - 0.3) + 1.4 is 2.0999999999999996
+    assert fixed_point(lozi(), plus).x == 1 / 2.1
 
 
 def test_preset_equilibria_keep_their_bits(plus):
