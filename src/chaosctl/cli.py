@@ -19,8 +19,14 @@ parse and reused, and `repro` parses its preset with it too.
 
 Every CSV starts with `#`-prefixed comments; the `# args:` line holds the
 canonical flag set, so re-running the printed flags reproduces the file
-byte-for-byte.  Trajectory and limit-set rows are the `repr` of Python
-floats, the shortest round-trip decimals.  The default seed is 0 (never
+byte-for-byte.  Trajectory, bifurcation and limit-set values are the `repr`
+of Python floats, the shortest round-trip decimals.  The CSV writers format
+each distinct value once where values repeat: a converged or cycling tail,
+a replayed cycle of states, the few control pairs of a constant or
+Bernoulli schedule.  Equal floats need not have equal text (0.0 == -0.0),
+so a writer reuses a text only where it has shown that no two equal values
+differ in sign of zero, and formats value by value otherwise: the bytes
+never depend on which path ran.  The default seed is 0 (never
 time-based); the CHAOSCTL_SEED environment variable overrides it and an
 explicit --seed flag wins over both.
 
@@ -39,13 +45,15 @@ import os
 import re
 import sys
 import tempfile
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .control import ControlChannel, InvalidControl, NoiseDist, Stochastic
 from .linalg2 import NormKind
 from .maps import Branch, DomainError, MapKind, MapParams, Point2
 from .presets import PRESETS
 from .sim import (
+    PERIOD_MAX,
+    RECORD_TAIL,
     PointSet,
     SimConfig,
     bifurcation_sweep,
@@ -283,9 +291,38 @@ def _config(args, initial: Point2) -> SimConfig:
     return SimConfig(initial=initial, steps=args.steps, seed=_seed(args))
 
 
+def _pair_texts(pairs: list, distinct: Optional[set] = None) -> Iterator[str]:
+    """The `a,b` text, two reprs, of each pair (a, b) of Python floats in pairs.
+
+    Given `distinct`, the set of the pairs, each distinct pair is formatted
+    once.  The caller must have proved that equal pairs have equal text:
+    0.0 == -0.0, but their reprs differ, and a dict keyed by value merges
+    them.
+    """
+    if distinct is None:
+        return (f"{a!r},{b!r}" for a, b in pairs)
+    keys = list(distinct)
+    return map(dict(zip(keys, _pair_texts(keys))).__getitem__, pairs)
+
+
+def _recurring(states: list) -> Optional[set]:
+    """The set of states, when they can be formatted once each; else None.
+
+    That is when the last state recurs among the RECORD_TAIL before it, as
+    in a cycle the engine replays or a limit set of one point, and no state
+    holds a zero, so that equal states have equal text.
+    """
+    if states and states[-1] in states[-RECORD_TAIL - 1 : -1]:
+        distinct = set(states)
+        if not any(0.0 in p for p in distinct):
+            return distinct
+    return None
+
+
 def _cmd_simulate(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
-    traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
+    schedule = _schedule(args)
+    traj = run_trajectory(_params(args), _branch(args), schedule, cfg)
     x0, y0 = traj.points[0]
     lines = [
         _args_line(args),
@@ -293,11 +330,22 @@ def _cmd_simulate(args) -> tuple[Iterable[str], int]:
         "n,x,y,d1,d2",
         f"0,{x0!r},{y0!r},,",
     ]
-    # states and controls are Python floats, so repr is _fmt
-    lines.extend(
-        f"{n},{x!r},{y!r},{d1!r},{d2!r}"
-        for n, ((x, y), (d1, d2)) in enumerate(zip(traj.points[1:], traj.controls), start=1)
+    states, controls = traj.points[1:], traj.controls
+    # A constant or Bernoulli channel realizes at most two values, so the
+    # controls hold at most four distinct pairs.  A realized d = alpha +
+    # ell * chi is -0.0 only when alpha is (a sum is -0.0 only when both
+    # terms are), so without a -0.0 alpha equal pairs have equal text.
+    few = all(
+        (ch.constant_value is not None or ch.dist is NoiseDist.BERNOULLI_PM1)
+        and math.copysign(1.0, ch.alpha) > 0.0
+        for ch in (schedule.ch1, schedule.ch2)
     )
+    rows = zip(
+        itertools.count(1),
+        _pair_texts(states, _recurring(states)),
+        _pair_texts(controls, set(controls) if few else None),
+    )
+    lines.extend(f"{n},{xy},{d}" for n, xy, d in rows)
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -322,32 +370,42 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
 
 
 def _bifurcation_rows(res) -> Iterator[str]:
-    """One chunk of `alpha,x` rows per alpha with a cell that did not escape.
-
-    Tail values are finite floats, so repr is _fmt, and each distinct value
-    of an alpha is formatted once.  A tail that holds a zero is formatted
-    value by value: 0.0 == -0.0, but their reprs differ.
-    """
+    """One chunk of `alpha,x` rows per alpha with a cell that did not escape."""
     per_alpha = len(res.cells) // len(res.alphas)
     for i, alpha in enumerate(res.alphas):
-        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
-        xs = list(itertools.chain.from_iterable(filter(None, cells)))
-        if not xs:
-            continue
-        u = set(xs)
-        if 0.0 in u:
-            strs = map(repr, xs)
-        else:
-            strs = map(dict(zip(u, map(repr, u))).__getitem__, xs)
         prefix = _fmt(alpha) + ","
-        yield prefix + ("\n" + prefix).join(strs) + "\n"
+        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
+        text = "".join(_cell_rows(prefix, xs) for xs in cells if xs)
+        if text:
+            yield text
+
+
+def _cell_rows(prefix: str, xs: list[float]) -> str:
+    """The rows of one cell's tail x values xs; prefix is the `alpha,` text.
+
+    Tail values are Python floats, so repr is _fmt.  A tail whose last value
+    does not recur among the PERIOD_MAX values before it, as in a noisy or
+    chaotic tail, is formatted value by value.  A tail of one value, not
+    +-0.0, is one row repeated.  Any other tail is formatted once per
+    distinct value, unless it holds a zero: 0.0 == -0.0, but their reprs
+    differ, and a dict keyed by value would merge them.
+    """
+    last = xs[-1]
+    if last in xs[-PERIOD_MAX - 1 : -1]:
+        if last != 0.0 and xs.count(last) == len(xs):
+            return (prefix + repr(last) + "\n") * len(xs)
+        distinct = set(xs)
+        if 0.0 not in distinct:
+            return "".join(map({x: prefix + repr(x) + "\n" for x in distinct}.__getitem__, xs))
+    return prefix + ("\n" + prefix).join(map(repr, xs)) + "\n"
 
 
 def _cmd_limitset(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     pts = limit_set(_params(args), _branch(args), _schedule(args), cfg)
     lines = [_args_line(args), "x,y"]
-    lines.extend(f"{x!r},{y!r}" for x, y in pts)
+    # a converged limit set is one point, formatted once and repeated
+    lines.extend(_pair_texts(pts, _recurring(pts)))
     return ["\n".join(lines) + "\n"], 0
 
 

@@ -37,8 +37,12 @@ above runs once on the whole chunk.  Only draws whose value can be read are
 computed.  A channel whose realized values at chi = -1 and +1 are one
 double is constant and never drawn; when neither channel is drawn the
 stream is one repeated value.  When the drawn channels are Bernoulli, a
-step's value is one of four, looked up by the two sign bits folded into
-one byte.  The one-word-at-a-time `_sm64_next` (with
+step's value is one of four, and a whole chunk of them is gathered in C by
+one `operator.itemgetter` call over the two sign bits of each step, folded
+into one byte.  A consumer that knows how many steps it reads passes
+`steps`, and no pair past the run's last step is drawn: chunk sizes double
+from 32 up to 1024 pairs, but each is at most the least 32 * 2^k that
+covers the steps left.  The one-word-at-a-time `_sm64_next` (with
 `next_rand`, `sample_noise` and `control_at_step`) is the scalar reference
 the tests hold them to.
 """
@@ -51,8 +55,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, repeat
-from operator import add, mul, sub
-from typing import Callable, Iterator, Optional
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Optional
 
 from .maps import MapParams, Point2, map_step
 
@@ -148,8 +152,9 @@ def step_values(
     ch2: ControlChannel,
     value: Optional[Callable[[float, float], object]] = None,
     target: Optional[Point2] = None,
+    steps: Optional[int] = None,
 ) -> Iterator:
-    """Endless values of steps 0, 1, 2, ... of two channels drawn from state s.
+    """Values of steps 0, 1, 2, ... of two channels drawn from state s.
 
     Step k realizes d_i = alpha_i + ell_i * chi_i from draws 2 k and 2 k + 1
     and yields value(d1, d2), or the pair (d1, d2) when value is None.  When
@@ -157,9 +162,11 @@ def step_values(
     of the four possible steps, so it must depend on its arguments alone.
     With a target (tx, ty), value is not read and step k yields the
     engine's coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) instead,
-    with no Python call per step.
+    with no Python call per step.  The stream is endless, unless `steps`
+    says how many values the caller reads: then it ends with the chunk that
+    holds step steps - 1 (see `_chunk_sizes`), and no later pair is drawn.
     """
-    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value, target))
+    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value, target, steps))
 
 
 def _coefficients(d1: float, d2: float, target: Point2) -> tuple[float, float, float, float]:
@@ -176,6 +183,28 @@ def _coefficients(d1: float, d2: float, target: Point2) -> tuple[float, float, f
 # stops early has drawn at most about twice the pairs it used.
 _FIRST_CHUNK = 32
 _CHUNK_CAP = 1024
+
+
+def _chunk_sizes(steps: Optional[int]) -> Iterator[int]:
+    """Pairs in each successive chunk of a stream that `steps` values are read from.
+
+    The sizes double from _FIRST_CHUNK up to _CHUNK_CAP, endlessly when
+    steps is None.  Otherwise each is at most the least _FIRST_CHUNK * 2^k
+    that covers the steps left, and the sizes end once they cover steps:
+    no pair past the run's last step is drawn, and every size stays one of
+    the few that `_lanes` caches.  A 700-step run draws 32 + 64 + 128 +
+    256 + 256 = 736 pairs, not 992.  Every size is at least 2, so an
+    `itemgetter` of a chunk's indices returns a tuple, not a bare item.
+    """
+    pairs = _FIRST_CHUNK
+    while steps is None or steps > 0:
+        if steps is not None:
+            pairs = min(pairs, _FIRST_CHUNK << ((steps - 1) // _FIRST_CHUNK).bit_length())
+            steps -= pairs
+        yield pairs
+        pairs = min(2 * pairs, _CHUNK_CAP)
+
+
 # Indexed by the top byte of an output word z, i.e. by bit 63 of z.
 _ONE_OR_TWO = (2.0,) * 128 + (1.0,) * 128
 
@@ -218,7 +247,8 @@ def _noise_chunks(
     ch2: ControlChannel,
     value: Optional[Callable[[float, float], object]],
     target: Optional[Point2],
-) -> Iterator[Iterator]:
+    steps: Optional[int],
+) -> Iterator[Iterable]:
     """Successive chunks of step values, as `step_values` describes them.
 
     SplitMix64's state is a Weyl sequence, so draw m of a chunk that starts
@@ -227,6 +257,8 @@ def _noise_chunks(
     runs once on the whole int.  Every lane is masked back to 64 bits before
     each multiply, so a 64 x 64-bit product fits its lane.  Whatever the
     draws used, the state advances two draws per step, channel 1 first.
+    The chunks have the sizes of `_chunk_sizes(steps)`: with steps given,
+    the last chunk holds step steps - 1 and no pair past it is drawn.
 
     Only draws whose value can be read are computed.  A channel is constant
     when alpha + ell * -1.0 and alpha + ell * 1.0 are one double, the sign of
@@ -242,6 +274,9 @@ def _noise_chunks(
     When every channel that is not constant is Bernoulli, a step's pair
     (d1, d2) depends only on the two sign bits b_i (bit 63 of draw i, chi_i =
     2 b_i - 1), so it is one of four, and so is its value: table[b1 + 2 b2].
+    The chunk's indices are one bytes object, and `itemgetter(*indices)`
+    of the table gathers the chunk's values into a tuple in C, with no
+    Python-level call per step.
     Flipping b_i changes a pair only when channel i's two ends differ, that
     is when it is drawn.  The last xor-shift, z ^= z >> 31, cannot change
     bit 63 of a 64-bit lane, and bits 64 and up of the last product are
@@ -253,7 +288,7 @@ def _noise_chunks(
     s + (2 j + i + 1) * GOLDEN, and its top byte indexes a 256-entry table.
 
     Otherwise each drawn channel has its own lane and is read apart, as a
-    table of its two values indexed by the top byte (Bernoulli) or through
+    table of its two values gathered by the top byte (Bernoulli) or through
     the uniform sample: for w = z >> 11, uniform_m1p1(z) = w * 2^-52 - 1 =
     f - 2 + (w >> 52), where f = 1 + (w mod 2^52) * 2^-52 in [1, 2) is the
     double with the exponent bits of 1.0 and mantissa w mod 2^52; f - 1 and
@@ -293,17 +328,16 @@ def _noise_chunks(
         ]
     width = sum(drawn)  # lanes a step
     first = drawn.index(True)  # step j's first lane is draw 2 j + first
-    pairs = _FIRST_CHUNK
-    while True:
+    for pairs in _chunk_sizes(steps):
         ones, ramp, low, mantissa, exponent = _lanes(pairs, width)
         z = ((s + first * _GOLDEN) * ones + ramp) & low
         z = ((z ^ (z >> 30)) & low) * _MIX1 & low
         z = ((z ^ (z >> 27)) & low) * _MIX2
         if table is not None and width == 2:
             t = (z >> 63) & ones
-            yield map(table.__getitem__, (t | t >> 127).to_bytes(32 * pairs, "little")[::32])
+            yield itemgetter(*(t | t >> 127).to_bytes(32 * pairs, "little")[::32])(table)
         elif table is not None:
-            yield map(table.__getitem__, z.to_bytes(16 * pairs, "little")[7::16])
+            yield itemgetter(*z.to_bytes(16 * pairs, "little")[7::16])(table)
         else:
             z &= low
             z ^= z >> 31
@@ -321,9 +355,9 @@ def _noise_chunks(
                 lane = i if width == 2 else 0
                 top = raw[16 * lane + 7 :: 16 * width]
                 if ch.dist is NoiseDist.BERNOULLI_PM1:
-                    d = map(sides[i].__getitem__, top)
+                    d = itemgetter(*top)(sides[i])
                 else:
-                    d = map(sub, f[2 * lane :: 2 * width], map(_ONE_OR_TWO.__getitem__, top))
+                    d = map(sub, f[2 * lane :: 2 * width], itemgetter(*top)(_ONE_OR_TWO))
                     if ch.alpha != 0.0 or ch.ell != 1.0:
                         d = map(add, repeat(ch.alpha), map(mul, repeat(ch.ell), d))
                 if target is None:
@@ -333,7 +367,6 @@ def _noise_chunks(
                     cols += [map(mul, d, repeat(goals[i])), map(sub, repeat(1.0), d)]
             yield zip(*cols) if value is None or target is not None else map(value, *cols)
         s = (s + 2 * pairs * _GOLDEN) & _M64
-        pairs = min(2 * pairs, _CHUNK_CAP)
 
 
 @dataclass(frozen=True)
@@ -397,9 +430,9 @@ _UNIT = {dist: ControlChannel(0.0, 1.0, dist) for dist in NoiseDist}
 
 
 def control_pairs(
-    schedule: Stochastic, s: int, target: Optional[Point2] = None
+    schedule: Stochastic, s: int, target: Optional[Point2] = None, steps: Optional[int] = None
 ) -> Iterator[tuple[float, ...]]:
-    """Endless realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
+    """Realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
 
     s is the raw SplitMix64 state of the schedule's noise stream.  The pairs
     are `step_values` of the schedule's two channels: every pair equals the
@@ -407,9 +440,10 @@ def control_pairs(
     advances two draws per step even where a channel is constant and its
     draws are not computed.  With a target (tx, ty), each step yields
     instead the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) of its
-    pair.
+    pair.  The stream is endless, or with `steps` drawn only as far as the
+    chunk that holds step steps - 1, as in `step_values`.
     """
-    return step_values(s, schedule.ch1, schedule.ch2, target=target)
+    return step_values(s, schedule.ch1, schedule.ch2, target=target, steps=steps)
 
 
 def control_at_step(schedule: Stochastic, rng: RngState) -> tuple[RngState, float, float]:

@@ -36,6 +36,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .control import (
@@ -73,6 +74,7 @@ PERIOD_MAX = 16
 PERIOD_TOL = 1e-6
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_first = itemgetter(0)  # x of an (x, y) state, taken in C
 
 
 class InsufficientData(ValueError):
@@ -253,8 +255,9 @@ def _run_raw(
     """Engine core: (states, outcome or None, steps run) of a run from start.
 
     One loop reads the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
-    of the realized pairs, `control_pairs(schedule, rng_s, target)` or, when
-    both channels hold a constant value, `repeat` of that pair's, and
+    of the realized pairs, `control_pairs(schedule, rng_s, target, steps)`,
+    which draws no pair past the run's last step, or, when both channels
+    hold a constant value, `repeat` of that pair's, and
     steps x' = c1 + g1 * F1, y' = c2 + g2 * F2: the operations of
     vmtoc_step in its order.  It keeps state in scalars and records raw
     (x, y) tuples of the states from step `first` on, with start as state
@@ -301,7 +304,7 @@ def _run_raw(
     if constant:
         coefs = repeat(_coefficients(d1, d2, target))
     else:
-        coefs = control_pairs(schedule, rng_s, target)
+        coefs = control_pairs(schedule, rng_s, target, steps)
     for n, (c1, g1, c2, g2) in zip(range(1, steps + 1), coefs):
         if constant:
             # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
@@ -366,9 +369,12 @@ def _run_raw(
                     break
             else:
                 in_tol = 0
-        # a run that converges before step first records its final state
+        # a run that converges before step first records its final state;
+        # states fill..n are the cycle turned to start at state fill, repeated
         fill = min(max(done + 1, first), n)
-        rec.extend(cycle[(m - done - 1) % period] for m in range(fill, n + 1))
+        turn = (fill - done - 1) % period
+        turned, count = cycle[turn:] + cycle[:turn], n + 1 - fill
+        rec.extend(turned * (count // period) + turned[: count % period])
     return rec, outcome, n
 
 
@@ -400,7 +406,7 @@ def run_trajectory(
     start = n + 1 - len(rec)
     return Trajectory(
         points=rec,
-        controls=list(islice(control_pairs(schedule, s), max(start - 1, 0), n)),
+        controls=list(islice(control_pairs(schedule, s, steps=n), max(start - 1, 0), n)),
         outcome=outcome,
         steps_run=n,
     )
@@ -496,7 +502,7 @@ def _sweep_cell(
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
         pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
-        return None if pts is None else [x for x, _ in pts]
+        return None if pts is None else list(map(_first, pts))
 
     return run_cell
 

@@ -117,15 +117,26 @@ def local_threshold(params: MapParams, branch: Branch, beta: float) -> float:
 
     clamped below at 0.  Raises Unstabilizable where alpha* rounds to 1,
     which happens once the denominator exceeds about 2^53.
+
+    Below a denominator of 2, 1 - 1/denom is exact but scales the error of
+    1/denom by 1/alpha*, and near 1 it loses every digit.  There alpha* is
+    taken as (denom - 1) / denom, with the -1 folded into the second term
+    first: (1 - beta) b - 1 is exact (Sterbenz) for (1 - beta) b in [0.5, 2].
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
     star = fixed_point(params, branch)
     if params.kind is MapKind.HENON:
-        denom = 2.0 * params.a * abs(star.x) + (1.0 - beta) * params.b
+        lead = 2.0 * params.a * abs(star.x)
     else:
-        denom = params.a + (1.0 - beta) * params.b
-    return _below_one(max(0.0, 1.0 - 1.0 / denom))
+        lead = params.a
+    rest = (1.0 - beta) * params.b
+    denom = lead + rest
+    if denom < 2.0:
+        alpha = (lead + (rest - 1.0)) / denom
+    else:
+        alpha = 1.0 - 1.0 / denom
+    return _below_one(max(0.0, alpha))
 
 
 def norm_threshold(

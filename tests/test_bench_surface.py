@@ -117,3 +117,19 @@ def test_interactive_jobs_match_golden_digests(tmp_path):
         assert got.keys() == want.keys()
         wrong += [f"seed {seed}: {k}" for k in want if got[k] != want[k]]
     assert not wrong
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_figures_jobs_match_golden_digests(seed, tmp_path):
+    # both figures jobs, each 4000 cells and an 800003-line CSV written with
+    # --out, hashed by the child's own digest (which reads and removes the file)
+    child, workloads = _load("child"), _load("workloads")
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["figures"]
+    want = golden[workloads.golden_key("figures", seed)]
+    got = {}
+    for job in workloads.jobs("figures", seed, str(tmp_path)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.run_command(job.argv)
+        got[job.id] = child._check_output(status, out.getvalue(), job.out)["digest"]
+    assert got == want

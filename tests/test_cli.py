@@ -10,7 +10,16 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosctl import ControlChannel, Point2, SweepResult, bifurcation_sweep, cli, default_init_grid
+from chaosctl import (
+    ControlChannel,
+    Point2,
+    SweepResult,
+    bifurcation_sweep,
+    cli,
+    default_init_grid,
+    limit_set,
+    run_trajectory,
+)
 from chaosctl.verify import CheckRow
 
 
@@ -706,3 +715,113 @@ def test_parser_is_not_built_at_import():
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+# --- writers: each distinct value formatted once, the bytes of plain repr ----
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -2.5, 5e-324, 0.1 + 0.2]
+_value = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _tail(draw):
+    """A tail: constant, period-k (k <= 16) after a transient, all distinct, or mixed."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["constant", "periodic", "distinct", "mixed"]))
+    if kind == "constant":
+        v = draw(_value)
+        # one object repeated, or equal values as distinct objects
+        return [v] * n if draw(st.booleans()) else [float(repr(v)) for _ in range(n)]
+    if kind == "periodic":
+        cycle = draw(st.lists(_value, min_size=1, max_size=16))
+        head = draw(st.lists(_value, max_size=5))
+        return (head + cycle * n)[:n]
+    if kind == "distinct":
+        return draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n, unique=True))
+    return draw(st.lists(st.sampled_from(_SPECIAL), min_size=n, max_size=n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cells=st.lists(st.one_of(st.none(), _tail()), min_size=2, max_size=12),
+       per_alpha=st.sampled_from([1, 2]))
+def test_bifurcation_rows_equal_plain_repr(cells, per_alpha):
+    cells = cells[: len(cells) // per_alpha * per_alpha]
+    alphas = tuple(0.1 * i for i in range(len(cells) // per_alpha))
+    res = SweepResult(alphas, cells, sum(xs is None for xs in cells))
+    # the plain per-value rendering: one chunk per alpha with a row
+    plain = [
+        "".join(f"{alpha!r},{x!r}\n" for xs in cells[i * per_alpha : (i + 1) * per_alpha]
+                for x in xs or ())
+        for i, alpha in enumerate(alphas)
+    ]
+    assert list(cli._bifurcation_rows(res)) == [chunk for chunk in plain if chunk]
+
+
+_pair = st.tuples(_value, _value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(head=st.lists(_pair, max_size=8), cycle=st.lists(_pair, min_size=1, max_size=8),
+       n=st.integers(0, 40))
+def test_pair_texts_equal_plain_repr(head, cycle, n):
+    # states that recur, as a replayed cycle or a converged limit set, with
+    # signed zeros, NaN and infinities among them
+    states = head + (cycle * n)[:n]
+    plain = [f"{x!r},{y!r}" for x, y in states]
+    assert list(cli._pair_texts(states, cli._recurring(states))) == plain
+    assert list(cli._pair_texts(states)) == plain
+
+
+def _simulate_plain(argv):
+    """`simulate` output with every value formatted by repr, row by row."""
+    args = cli._parse(argv)
+    traj = run_trajectory(cli._params(args), cli._branch(args), cli._schedule(args),
+                          cli._config(args, Point2(args.x0, args.y0)))
+    (x0, y0), *states = traj.points
+    lines = [cli._args_line(args), f"# outcome: {traj.outcome}", "n,x,y,d1,d2", f"0,{x0!r},{y0!r},,"]
+    lines += [f"{n},{x!r},{y!r},{d1!r},{d2!r}"
+              for n, ((x, y), (d1, d2)) in enumerate(zip(states, traj.controls), start=1)]
+    return "\n".join(lines) + "\n"
+
+
+_RUN = ["--x0", "0.3", "--y0", "0.1", "--steps", "400"]
+
+
+@pytest.mark.parametrize("argv", [
+    # constant schedules: a replayed cycle, and -0.0 means drawn as 0.0 or -0.0
+    ["--alpha1", "0.44"],
+    ["--alpha1", "-0.0", "--alpha2", "0.3"],
+    ["--alpha1", "0.5", "--alpha2", "-0.0"],
+    ["--alpha1", "-0.0", "--alpha2", "-0.0"],
+    # Bernoulli noise on one or both channels, with a -0.0 mean
+    ["--alpha1", "0.44", "--ell1", "0.3"],
+    ["--alpha1", "-0.0", "--ell1", "0.3", "--alpha2", "0.9", "--ell2", "0.05"],
+    ["--alpha1", "0.3", "--ell1", "0.3", "--alpha2", "-0.0", "--ell2", "0.1"],
+    # uniform noise: every control distinct
+    ["--alpha1", "0.44", "--ell1", "0.3", "--dist1", "uniform"],
+    ["--alpha1", "0.3", "--alpha2", "-0.0", "--ell2", "0.2", "--dist2", "uniform"],
+    # converges, and escapes
+    ["--alpha1", "0.7"],
+    ["--a", "3", "--x0=-5", "--y0", "5"],
+], ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("kind", ["henon", "lozi"])
+def test_simulate_equals_plain_repr(kind, argv):
+    argv = ["simulate", "--map", kind] + _RUN + argv
+    assert cli.render(argv) == _simulate_plain(argv)
+
+
+@pytest.mark.parametrize("alpha1", ["0.6", "0.1"], ids=["converged", "bounded"])
+def test_limitset_equals_plain_repr(alpha1):
+    argv = ["limitset", "--map", "henon", "--alpha1", alpha1, "--x0", "0.3", "--y0", "0.1"]
+    args = cli._parse(argv)
+    pts = limit_set(cli._params(args), cli._branch(args), cli._schedule(args),
+                    cli._config(args, Point2(args.x0, args.y0)))
+    assert len(set(pts)) == (1 if alpha1 == "0.6" else 200)
+    plain = [cli._args_line(args), "x,y"] + [f"{x!r},{y!r}" for x, y in pts]
+    assert cli.render(argv) == "\n".join(plain) + "\n"
+
+
+def test_threshold_near_denominator_1_keeps_its_digits(capsys):
+    # 1 - 1/(1 + 1e-17) is 0.0 in floating point; (denom - 1)/denom is not
+    rc, out, _ = run_cli(["threshold", "--map", "lozi", "--a", "1e-17", "--b", "1"], capsys)
+    assert (rc, out) == (0, "alpha_star,1e-17\n")

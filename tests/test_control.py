@@ -22,7 +22,15 @@ from chaosctl import (
     stream_for_trial,
     vmtoc_step,
 )
-from chaosctl.control import bernoulli_pm1, control_at_step, sample_noise, uniform_m1p1
+from chaosctl import control, verify
+from chaosctl.control import (
+    _chunk_sizes,
+    _coefficients,
+    bernoulli_pm1,
+    control_at_step,
+    sample_noise,
+    uniform_m1p1,
+)
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -287,3 +295,59 @@ def test_vmtoc_difference_identity(henon_std, plus):
         assert stepped.y - target.y == pytest.approx(
             (1.0 - d2) * (f.y - target.y), abs=1e-12
         )
+
+
+# Schedules whose chunks take each gather path of the sampler: one Bernoulli
+# channel drawn, both drawn, and one uniform channel.
+_BOUNDARY_SCHEDULES = {
+    "bernoulli-one": Stochastic(ControlChannel(0.3, 0.2861), ControlChannel(0.8)),
+    "bernoulli-two": Stochastic(ControlChannel(0.27, 0.2), ControlChannel(0.9, 0.55)),
+    "uniform-one": Stochastic(ControlChannel(0.2, 0.2, NoiseDist.UNIFORM_M1P1), ControlChannel(0.9)),
+}
+_CHUNK_SIZES = {32 << k for k in range(6)}  # 32, 64, ..., 1024
+
+
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 95, 96, 97, 700, 2000])
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_SCHEDULES))
+@pytest.mark.parametrize("target", [None, Point2(0.63, 0.19)], ids=["pairs", "coefficients"])
+def test_control_pairs_with_steps_match_control_at_step(name, steps, target):
+    schedule = _BOUNDARY_SCHEDULES[name]
+    s = stream_for_trial(5, steps).s
+    got = list(control_pairs(schedule, s, target, steps))
+    # the stream ends with the chunk that holds step steps - 1
+    assert len(got) == sum(_chunk_sizes(steps)) >= steps
+    rng = RngState(s)
+    for n, value in enumerate(got):
+        rng, d1, d2 = control_at_step(schedule, rng)
+        want = (d1, d2) if target is None else _coefficients(d1, d2, target)
+        assert repr(value) == repr(want), n
+
+
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 95, 96, 97, 700, 2000, 3100, None])
+def test_chunk_sizes_cover_the_steps_without_a_new_size(steps):
+    sizes = list(islice(_chunk_sizes(steps), 40))
+    assert set(sizes) <= _CHUNK_SIZES
+    if steps is None:
+        assert sizes[:6] == sorted(_CHUNK_SIZES) and set(sizes[6:]) == {1024}
+    else:
+        # the last chunk is the least size that covers the steps left
+        left = steps - sum(sizes[:-1])
+        assert 0 < left <= sizes[-1]
+        assert sizes[-1] == min(size for size in _CHUNK_SIZES if size >= left)
+    assert sum(_chunk_sizes(700)) == 736
+
+
+def test_verify_caches_lanes_of_chunk_sizes_only(monkeypatch):
+    # an exact cut to `steps` would cache a lane set per run length
+    keys = set()
+    lanes = control._lanes
+
+    def recording(pairs, width):
+        keys.add((pairs, width))
+        return lanes(pairs, width)
+
+    monkeypatch.setattr(control, "_lanes", recording)
+    verify.run_all()
+    assert keys
+    assert {pairs for pairs, _ in keys} <= _CHUNK_SIZES
+    assert {width for _, width in keys} <= {1, 2}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chaosctl import (
     Branch,
@@ -58,6 +58,49 @@ def test_local_threshold_separates_stability(params, beta):
     a_star = local_threshold(params, PLUS, beta)
     assert trace_det_stable(controlled_jacobian(params, PLUS, a_star + 1e-3, beta))
     assert not trace_det_stable(controlled_jacobian(params, PLUS, a_star - 1e-3, beta))
+
+
+def _ulps_from_exact(got: float, exact: decimal.Decimal) -> decimal.Decimal:
+    """|got - exact| in ulps of exact rounded to a double."""
+    return abs(decimal.Decimal(got) - exact) / decimal.Decimal(math.ulp(float(exact)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["henon", "lozi"]),
+    a=st.one_of(st.floats(1e-300, 1e-6), st.floats(1e-6, 10.0)),
+    b=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+)
+@example(kind="lozi", a=1e-17, b=1.0)
+@example(kind="henon", a=1e-17, b=1.0)
+@example(kind="lozi", a=0.3, b=0.7 + 2**-52)
+def test_local_threshold_at_beta_0_within_4_ulps(kind, a, b):
+    # alpha* = (denom - 1) / denom against an 80-digit reference from the
+    # doubles the function reads: a, b and, for Henon, x*.  Below denom = 2,
+    # 1 - 1/denom would lose the digits of a small alpha*.  Henon is checked
+    # where b >= 1, where 2 a |x*| and b - 1 do not cancel; a Lozi b is
+    # moved to 1 where no equilibrium exists (|1 - b| >= a).
+    if kind == "henon":
+        params = henon(a, max(b, 2.0 - b))
+    else:
+        params = lozi(a, b if abs(1.0 - b) < a else 1.0)
+    a, b = params.a, params.b
+    try:
+        star = fixed_point(params, PLUS)
+    except DomainError:
+        assume(False)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        lead = 2 * D(a) * abs(D(star.x)) if kind == "henon" else D(a)
+        # b - 1 is exact here, and lead + (b - 1) is rounded once to 80
+        # digits, so the reference keeps every digit of a small alpha*
+        exact = max(D(0), (lead + (D(b) - 1)) / (lead + D(b)))
+        got = local_threshold(params, PLUS, 0.0)
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert _ulps_from_exact(got, exact) <= 4
 
 
 def test_local_threshold_monotone_in_beta():
