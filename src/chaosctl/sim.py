@@ -9,21 +9,27 @@ output is identical either way.  `collapse_alpha` runs the cells of
 `bifurcation_sweep` one alpha at a time from the top of the grid down and
 stops at the first alpha that has not collapsed.
 
-One engine loop, `_run_raw`, serves every experiment.  It reads the
-coefficients (d * t, 1 - d) of the schedule's realized control pairs from
-one stream, with no per-step branch: `repeat` of one tuple when both
-channels are constant by `ControlChannel.constant_value`, the rule the
-sampler reads too, and `control.control_pairs` otherwise.  It records no
-controls; `run_trajectory` reads its controls after the loop from a fresh
-stream of the same schedule, cut to the steps run.  It records raw (x, y)
-tuples, and that record is every run's result: `Trajectory.points`, a
-sweep cell's tail and a limit set.  `Point2` is only the type of a state
+One engine, `_run_raw`, serves every experiment.  Its loop is written once,
+as a source template, and compiled on first use into at most four private
+kernels, one per map (Henon, Lozi) and kind of schedule (a constant pair,
+drawn pairs), so that no step tests the map, the schedule or whether to
+record; the Lozi kernels split abs(x) on the sign of x, with the same bits.
+A kernel reads the coefficients (d * t, 1 - d) of the schedule's realized
+control pairs: from locals when both channels are constant by
+`ControlChannel.constant_value`, the rule the sampler reads too, and from
+`control.control_pairs` otherwise.  The steps before the record starts
+and the recorded ones run as two segments of the same body.  It records
+no controls; `run_trajectory` reads its controls after the loop from a
+fresh stream of the same schedule, cut to the steps run.  It records raw
+(x, y) tuples, and that record is every run's result: `Trajectory.points`,
+a sweep cell's tail and a limit set.  `Point2` is only the type of a state
 passed in: the start, the target.  A run records all its states or only
 its tail: the states of its last min(RECORD_TAIL, steps) steps, or the
-final state of a run that stopped before them.  Sweep cells, limit sets
-and Monte Carlo trials read the tail and the engine's outcome.  A run
-under a constant control pair stops once its state repeats bit for bit and
-replays the cycle, with identical output.
+final state of a run that stopped before them.  Sweep cells and limit
+sets read the tail and the engine's outcome; Monte Carlo trials read only
+the outcome and record nothing.  A run under a constant control pair
+stops once its state repeats bit for bit and replays the cycle, with
+identical output.
 
 One convergence rule serves the engine and the classifier: a run converges
 when its last min(CONV_WINDOW, steps) states are within CONV_TOL of the
@@ -32,10 +38,13 @@ target in the max norm.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
@@ -243,6 +252,107 @@ def classify_tail(traj: Trajectory, target: Point2, cfg: SimConfig) -> Outcome:
     return _classify_points(traj.points[-cfg.record_tail :], traj.steps_run, target)
 
 
+#: The engine loop, one segment of steps lo..hi - 1 that records each state
+#: or none.  `_kernel` fills the fields with fixed text: the loop head and
+#: Brent's check of the schedule, the map's first component and the record.
+#: (x, y) is state n - 1 at the top of the body.  The chained comparisons
+#: are abs(x) <= bound and abs(x - tx) < tol for every double, inf
+#: included; a NaN state escapes.
+_SEGMENT = """\
+for {head}:
+{brent}    fx = {fx}
+    fy = b * x
+    x = c1 + g1 * fx
+    y = c2 + g2 * fy
+{record}    if not (neg_bound <= x <= bound and neg_bound <= y <= bound):
+        outcome = Escaped(n)
+        break
+    if neg_tol < x - tx < tol and neg_tol < y - ty < tol:
+        in_tol += 1
+        if in_tol >= window:
+            outcome = Converged(n)
+            break
+    else:
+        in_tol = 0
+"""
+
+#: Brent's check of a constant-pair kernel.  `==` equates 0.0 and -0.0, so
+#: the signs of zero are compared too; NaN never compares equal.
+_BRENT = """\
+    if (
+        x == sx
+        and y == sy
+        and copysign(1.0, x) == copysign(1.0, sx)
+        and copysign(1.0, y) == copysign(1.0, sy)
+    ):
+        period = n - 1 - saved_n
+        if period <= tail:
+            break
+        period = 0
+        sx = sy = nan  # the shortest period is too long: stop looking
+        save_at = 0
+    if n == save_at:
+        sx, sy, saved_n = x, y, n - 1
+        save_at = 2 * n
+"""
+
+#: A kernel: steps 1..split - 1 unrecorded, then, unless the first segment
+#: stopped the run, steps split..steps each appended to the record.
+_KERNEL = """\
+def kernel(a, b, tx, ty, x, y, coefs, steps, split, tail, window, append):
+    bound, tol = ESCAPE_BOUND, CONV_TOL
+    neg_bound, neg_tol = -bound, -tol
+    copysign, nan = math.copysign, math.nan
+{unpack}    sx = sy = nan
+    saved_n, save_at = 0, 1
+    n = period = in_tol = 0
+    outcome = None
+{quiet}    else:
+{recording}    return x, y, n, outcome, period, in_tol
+"""
+
+
+@functools.cache
+def _kernel(henon: bool, constant: bool) -> Callable:
+    """The engine loop compiled for one map and one kind of schedule.
+
+    A constant-pair kernel holds the coefficients (c1, g1, c2, g2) in
+    locals and keeps Brent's check; a drawn kernel reads them per step from
+    the iterator `coefs` and has no Brent code.  The Henon map is
+    y + 1.0 - a * x * x.  The Lozi map y + 1.0 - a * abs(x) is split on
+    the sign of x, which gives the same bits without a call: for x < 0,
+    a * (-x) is exactly -(a * x) and p - (-q) is exactly p + q, so it is
+    y + 1.0 + a * x.  At x = -0.0 the two forms give p - 0.0 and p + 0.0
+    for p = y + 1.0, which differ only if p is -0.0, and a sum with 1.0
+    never is.  A NaN x gives NaN in both, and a NaN state escapes at once.
+    Only these fixed choices enter the source; every value is an argument.
+    The source is compiled under a filename that names the kernel, and
+    registered with linecache, so tracebacks show its lines.
+    """
+    name = f"{'henon' if henon else 'lozi'}-{'constant' if constant else 'drawn'}"
+
+    def segment(lo: str, hi: str, record: str) -> str:
+        steps = f"range({lo}, {hi})"
+        return _SEGMENT.format(
+            head=f"n in {steps}" if constant else f"n, (c1, g1, c2, g2) in zip({steps}, coefs)",
+            brent=_BRENT if constant else "",
+            fx="y + 1.0 - a * x * x" if henon
+            else "y + 1.0 - a * x if x >= 0.0 else y + 1.0 + a * x",
+            record=record,
+        )
+
+    src = _KERNEL.format(
+        unpack="    c1, g1, c2, g2 = coefs\n" if constant else "",
+        quiet=textwrap.indent(segment("1", "split", ""), "    "),
+        recording=textwrap.indent(segment("split", "steps + 1", "    append((x, y))\n"), "        "),
+    )
+    filename = f"<chaosctl.sim kernel {name}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(src, filename, "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 def _run_raw(
     params: MapParams,
     target: Point2,
@@ -254,20 +364,27 @@ def _run_raw(
 ) -> tuple[list[tuple[float, float]], Optional[Outcome], int]:
     """Engine core: (states, outcome or None, steps run) of a run from start.
 
-    One loop reads the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
-    of the realized pairs, `control_pairs(schedule, rng_s, target, steps)`,
-    which draws no pair past the run's last step, or, when both channels
-    hold a constant value, `repeat` of that pair's, and
-    steps x' = c1 + g1 * F1, y' = c2 + g2 * F2: the operations of
-    vmtoc_step in its order.  It keeps state in scalars and records raw
-    (x, y) tuples of the states from step `first` on, with start as state
-    0: first = 0 records the whole run, first = cfg.transient + 1 its tail.
-    A run that stops before step first records its final state.  The
-    outcome is Escaped, or Converged once min(CONV_WINDOW, steps)
-    consecutive states are within CONV_TOL; None means the tail is still to
-    be classified.  A run shorter than CONV_WINDOW converges only at its
-    last step, when every state after the start is within CONV_TOL: that is
-    its whole tail within CONV_TOL, the classifier's rule.
+    The engine loop is written once, as the source template `_SEGMENT`, and
+    compiled on first use into one of four kernels (`_kernel`): Henon or
+    Lozi, under a constant control pair or drawn pairs, so no step tests
+    the map, the schedule or whether to record.  Each step reads the
+    coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) of its realized
+    pair, from `control_pairs(schedule, rng_s, target, steps)`, which draws
+    no pair past the run's last step, or, when both channels hold a
+    constant value, from locals, and steps x' = c1 + g1 * F1,
+    y' = c2 + g2 * F2: the operations of vmtoc_step in its order (the Lozi
+    kernels split abs on the sign of x, with the same bits).  The loop
+    keeps state in scalars and records raw (x, y) tuples of the states from
+    step `first` on, with start as state 0: first = 0 records the whole
+    run, first = cfg.transient + 1 its tail, first = cfg.steps + 1 nothing.
+    It runs as two segments of one body, the steps before first with no
+    record and the rest recording each state.  A run that stops before step
+    first records its final state.  The outcome is Escaped, or Converged
+    once min(CONV_WINDOW, steps) consecutive states are within CONV_TOL;
+    None means the tail is still to be classified.  A run shorter than
+    CONV_WINDOW converges only at its last step, when every state after the
+    start is within CONV_TOL: that is its whole tail within CONV_TOL, the
+    classifier's rule.
 
     Under a constant control pair the next state is a pure function of the
     current one, so once a state repeats bit for bit the rest of the run is
@@ -277,12 +394,6 @@ def _run_raw(
     again from the current state by vmtoc_step, since it may precede the
     recorded window, and the remaining steps are replayed from it.
     """
-    henon = params.kind is MapKind.HENON
-    a, b = params.a, params.b
-    tx, ty = target.x, target.y
-    bound, tol = ESCAPE_BOUND, CONV_TOL
-    neg_bound, neg_tol = -bound, -tol
-    x, y = start.x, start.y
     steps, tail = cfg.steps, cfg.record_tail
     window = min(CONV_WINDOW, steps)
 
@@ -290,61 +401,16 @@ def _run_raw(
     # unobservable because each run owns its stream exclusively.
     d1, d2 = schedule.ch1.constant_value, schedule.ch2.constant_value
     constant = d1 is not None and d2 is not None
-
-    rec = [(x, y)] if first == 0 else []
-
-    # Brent's saved state and its step; NaN never compares equal.
-    sx = sy = math.nan
-    saved_n = 0
-    save_at = 1
-    period = 0
-    outcome: Optional[Outcome] = None
-    in_tol = 0
-    n = 0
     if constant:
-        coefs = repeat(_coefficients(d1, d2, target))
+        coefs = _coefficients(d1, d2, target)
     else:
         coefs = control_pairs(schedule, rng_s, target, steps)
-    for n, (c1, g1, c2, g2) in zip(range(1, steps + 1), coefs):
-        if constant:
-            # (x, y) is state n - 1.  `==` equates 0.0 and -0.0, so the
-            # signs of zero are compared too.
-            if (
-                x == sx
-                and y == sy
-                and math.copysign(1.0, x) == math.copysign(1.0, sx)
-                and math.copysign(1.0, y) == math.copysign(1.0, sy)
-            ):
-                period = n - 1 - saved_n
-                if period <= tail:
-                    break
-                period = 0
-                sx = sy = math.nan  # the shortest period is too long: stop looking
-                save_at = 0
-            if n == save_at:
-                sx, sy, saved_n = x, y, n - 1
-                save_at = 2 * n
-        if henon:
-            fx = y + 1.0 - a * x * x
-        else:
-            fx = y + 1.0 - a * abs(x)
-        fy = b * x
-        x = c1 + g1 * fx
-        y = c2 + g2 * fy
-        if n >= first:
-            rec.append((x, y))
-        # The chained comparisons are abs(x) <= bound and abs(x - tx) <
-        # CONV_TOL for every double, inf included; a NaN state escapes.
-        if not (neg_bound <= x <= bound and neg_bound <= y <= bound):
-            outcome = Escaped(n)
-            break
-        if neg_tol < x - tx < tol and neg_tol < y - ty < tol:
-            in_tol += 1
-            if in_tol >= window:
-                outcome = Converged(n)
-                break
-        else:
-            in_tol = 0
+    rec = [(start.x, start.y)] if first == 0 else []
+    split = min(max(first, 1), steps + 1)
+    x, y, n, outcome, period, in_tol = _kernel(params.kind is MapKind.HENON, constant)(
+        params.a, params.b, target.x, target.y, start.x, start.y,
+        coefs, steps, split, tail, window, rec.append,
+    )
 
     if outcome is not None and n < first:
         rec.append((x, y))
@@ -353,6 +419,7 @@ def _run_raw(
         # cycle[(m - done - 1) % period].  Within period + window more
         # steps the in_tol count either reaches window or never will.
         done = n - 1
+        tx, ty, tol = target.x, target.y, CONV_TOL
         p = Point2(x, y)
         cycle = []
         for _ in range(period):
@@ -361,7 +428,7 @@ def _run_raw(
         n = steps
         for m in range(done + 1, min(n, done + period + window) + 1):
             cx, cy = cycle[(m - done - 1) % period]
-            if neg_tol < cx - tx < tol and neg_tol < cy - ty < tol:
+            if -tol < cx - tx < tol and -tol < cy - ty < tol:
                 in_tol += 1
                 if in_tol >= window:
                     outcome = Converged(m)
@@ -621,7 +688,8 @@ def mc_convergence(
                 bx.x_lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (bx.x_hi - bx.x_lo),
                 bx.y_lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (bx.y_hi - bx.y_lo),
             )
-        _, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.transient + 1)
+        # only the outcome is read: a first step past the run records nothing
+        _, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.steps + 1)
         return isinstance(outcome, Converged)
 
     flags = _parallel_map(run_one, trials, threads)

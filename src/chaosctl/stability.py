@@ -122,6 +122,12 @@ def local_threshold(params: MapParams, branch: Branch, beta: float) -> float:
     1/denom by 1/alpha*, and near 1 it loses every digit.  There alpha* is
     taken as (denom - 1) / denom, with the -1 folded into the second term
     first: (1 - beta) b - 1 is exact (Sterbenz) for (1 - beta) b in [0.5, 2].
+
+    For Henon, 2 a |x*| = sqrt(S) +/- (b - 1) with S = 4a + (b - 1)^2, so
+    denom - 1 = sqrt(S) - c.  Where that falls below half of 2 a |x*| the
+    sum has cancelled, and near alpha* = 0 it keeps little but the rounding
+    of x* and of the product.  There it is taken as (S - c^2) / (sqrt(S) +
+    c), with S - c^2 summed exactly, and alpha* as that over 1 plus it.
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
@@ -132,11 +138,34 @@ def local_threshold(params: MapParams, branch: Branch, beta: float) -> float:
         lead = params.a
     rest = (1.0 - beta) * params.b
     denom = lead + rest
-    if denom < 2.0:
+    if params.kind is MapKind.HENON and abs(lead + (rest - 1.0)) < 0.5 * lead:
+        num = _henon_excess(params, branch, beta)
+        alpha = num / (1.0 + num)
+    elif denom < 2.0:
         alpha = (lead + (rest - 1.0)) / denom
     else:
         alpha = 1.0 - 1.0 / denom
     return _below_one(max(0.0, alpha))
+
+
+def _henon_excess(params: MapParams, branch: Branch, beta: float) -> float:
+    """2 a |x*| + (1 - beta) b - 1 of the Henon map, rounded from exact sums.
+
+    With S = 4a + (b - 1)^2, 2 a |x*| is sqrt(S) + (b - 1) on the plus
+    branch and sqrt(S) - (b - 1) on the minus branch, so the excess is
+    sqrt(S) - c with c = 1 - (1 - beta) b -/+ (b - 1), and it equals
+    (S - c^2) / (sqrt(S) + c).  S - c^2 is summed in rationals from the
+    doubles a, b and beta, so only sqrt(S) + c, where c > 0 and the two
+    terms add, and the last division round.
+    """
+    # imported here, as it loads decimal, so that only this rare path pays
+    from fractions import Fraction
+
+    a, b = Fraction(params.a), Fraction(params.b)
+    turn = b - 1 if branch is Branch.PLUS else 1 - b
+    c = 1 - (1 - Fraction(beta)) * b - turn
+    s = 4 * a + (b - 1) ** 2
+    return float(s - c * c) / (math.sqrt(float(s)) + float(c))
 
 
 def norm_threshold(

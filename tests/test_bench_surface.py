@@ -133,3 +133,18 @@ def test_figures_jobs_match_golden_digests(seed, tmp_path):
             status = cli.run_command(job.argv)
         got[job.id] = child._check_output(status, out.getvalue(), job.out)["digest"]
     assert got == want
+
+
+def test_verify_job_matches_golden_digest():
+    # the acceptance table, exit status included, hashed by the child's own
+    # digest; verify keeps its fixed seeds, so one digest covers every seed
+    child, workloads = _load("child"), _load("workloads")
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["verify"]
+    want = golden[workloads.golden_key("verify", 0)]
+    got = {}
+    for job in workloads.jobs("verify", 0, None):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.run_command(job.argv)
+        got[job.id] = child._check_output(status, out.getvalue(), job.out)["digest"]
+    assert got == want

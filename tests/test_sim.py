@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
 
 import pytest
@@ -38,6 +40,7 @@ from chaosctl import (
     limit_set,
     lln_average,
     lozi,
+    map_step,
     mc_convergence,
     next_rand,
     norm_threshold,
@@ -202,11 +205,14 @@ def test_engine_matches_control_step_composition(params, schedule, x0, y0, steps
         assert repr(traj.controls[n]) == repr((d1, d2))
 
 
-def _reference_run(params, branch, schedule, cfg, record):
-    """The engine's contract, one control_at_step + vmtoc_step at a time."""
+def _reference_run(params, branch, schedule, cfg, record, trial=0, init=None):
+    """The engine's contract, one control_at_step + vmtoc_step at a time.
+
+    Runs trial `trial` of cfg.seed from init, or from cfg.initial.
+    """
     star = fixed_point(params, branch)
-    rng = stream_for_trial(cfg.seed, 0)
-    p = cfg.initial
+    rng = stream_for_trial(cfg.seed, trial)
+    p = cfg.initial if init is None else init
     points, controls = [(p.x, p.y)], []
     outcome, in_tol, n = None, 0, 0
     window = min(CONV_WINDOW, cfg.steps)
@@ -479,6 +485,121 @@ def test_long_stochastic_run_matches_step_reference(params, ch1, ch2, x0, y0, se
     for i, (got, want) in enumerate(zip(traj.controls, controls)):
         assert repr(got) == repr(want), i
     assert traj.outcome == outcome
+
+
+# --- compiled kernels -----------------------------------------------------------
+
+#: Channels that are never constant: ell > 0 draws two distinct values.
+_drawn_channel = st.builds(
+    ControlChannel,
+    _unit,
+    st.floats(0.01, 0.6),
+    st.sampled_from(list(NoiseDist)),
+)
+
+
+@st.composite
+def _kernel_runs(draw):
+    """A run for each of the four kernels: map x (constant pair | drawn pairs)."""
+    params = draw(st.sampled_from([henon(), lozi()]))
+    constant = draw(st.booleans())
+    if constant:
+        schedule = Constant(draw(_unit), draw(st.sampled_from([0.0, 0.5, 0.9])))
+    else:
+        schedule = Stochastic(draw(_drawn_channel), draw(st.one_of(_channel, _drawn_channel)))
+    init = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    cfg = SimConfig(initial=init, steps=draw(st.integers(1, 450)),
+                    seed=draw(st.integers(0, 2**64 - 1)))
+    return params, schedule, constant, cfg, draw(st.sampled_from(["all", "tail"]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(run=_kernel_runs())
+def test_kernels_match_step_reference(run):
+    # both segments of every kernel, the unrecorded one running up to 250
+    # steps before a tail of RECORD_TAIL states
+    params, schedule, constant, cfg, record = run
+    values = (schedule.ch1.constant_value, schedule.ch2.constant_value)
+    assert constant == (None not in values)
+    traj = run_trajectory(params, PLUS, schedule, cfg, record=record)
+    points, controls, outcome, n = _reference_run(params, PLUS, schedule, cfg, record)
+    assert repr(traj.points) == repr(points)
+    assert repr(traj.controls) == repr(controls)
+    assert (traj.outcome, traj.steps_run) == (outcome, n)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+            1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("a", [1.4, 1e300, 5e-324])
+def test_lozi_sign_split_matches_map_step(constant, a):
+    # one step of a Lozi kernel with coefficients (-0.0, 1.0, -0.0, 1.0), so
+    # that x' = -0.0 + 1.0 * F1 is F1 itself, signed zeros and NaN included
+    params = lozi(a, 0.3)
+    kernel = sim._kernel(False, constant)
+    coefs = (-0.0, 1.0, -0.0, 1.0)
+    for x in _SPECIAL:
+        for y in _SPECIAL + [-1.0 - 2**-52]:
+            rec = []
+            kernel(params.a, params.b, 0.0, 0.0, x, y, coefs if constant else iter([coefs]),
+                   steps=1, split=1, tail=1, window=1, append=rec.append)
+            want = map_step(params, Point2(x, y))
+            assert repr(rec) == repr([(want.x, want.y)]), (x, y)
+
+
+def test_kernel_cache_holds_at_most_four_kernels(tmp_path):
+    # the kernels compile once per process, however many runs read them
+    sim._kernel.cache_clear()
+    for argv in (["verify"],
+                 ["repro", "fig1a", "--out", str(tmp_path / "a.csv")],
+                 ["repro", "fig8b", "--out", str(tmp_path / "b.csv")]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_command(argv)
+    info = sim._kernel.cache_info()
+    assert info.currsize <= 4 and info.misses <= 4 and info.hits > 1000
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    schedule=st.one_of(
+        st.builds(Constant, st.floats(0.4, 0.7), st.sampled_from([0.0, 0.5])),
+        st.builds(Stochastic, _drawn_channel, _channel),
+    ),
+    inits=st.lists(st.builds(Point2, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=3),
+    steps=st.integers(1, 450),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(params=lozi(), schedule=Stochastic(ControlChannel(0.4, 0.15)),
+         inits=[Point2(-10.0, -15.0), Point2(0.3, 0.1)], steps=450, seed=0)
+def test_mc_convergence_records_nothing_and_counts_like_the_reference(
+        params, schedule, inits, steps, seed):
+    # a trial reads only the engine's outcome: its run records no state, or
+    # the final one of a run that stopped early
+    records, run_raw = [], sim._run_raw
+
+    def spy(*args):
+        out = run_raw(*args)
+        records.append(out[0])
+        return out
+
+    trials = 6
+    cfg = SimConfig(initial=inits[0], steps=steps, seed=seed)
+    sim._run_raw = spy
+    try:
+        rep = mc_convergence(params, PLUS, schedule, PointSet(tuple(inits)), trials, cfg)
+    finally:
+        sim._run_raw = run_raw
+    want = sum(
+        isinstance(_reference_run(params, PLUS, schedule, cfg, "tail", k,
+                                  inits[k % len(inits)])[2], Converged)
+        for k in range(trials)
+    )
+    assert rep.converged == want
+    assert len(records) == trials and all(len(rec) <= 1 for rec in records)
 
 
 @settings(deadline=None)

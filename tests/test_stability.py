@@ -103,6 +103,37 @@ def test_local_threshold_at_beta_0_within_4_ulps(kind, a, b):
             assert _ulps_from_exact(got, exact) <= 4
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.floats(0.01, 0.99),
+    branch=st.sampled_from(list(Branch)),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    nudge=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)),
+)
+@example(b=0.5, branch=PLUS, beta=0.0, nudge=3e-13)
+def test_henon_local_threshold_near_alpha_0_within_4_ulps(b, branch, beta, nudge):
+    # Near alpha* = 0, 2 a |x*| + (1 - beta) b - 1 = sqrt(S) - c cancels
+    # (S = 4a + (b - 1)^2; on the plus branch at beta = 0 that is
+    # a = 3 (1 - b)^2 / 4).  The reference takes the 80-digit root from the
+    # doubles a, b and beta alone, not from the rounded x*.
+    turn = b - 1.0 if branch is PLUS else 1.0 - b
+    c = 1.0 - (1.0 - beta) * b - turn
+    a = (c * c - (b - 1.0) ** 2) / 4.0 * (1.0 + nudge)
+    assume(a > 1e-300)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        db = D(b)
+        dc = 1 - (1 - D(beta)) * db - (db - 1 if branch is PLUS else 1 - db)
+        excess = (4 * D(a) + (db - 1) ** 2).sqrt() - dc
+        exact = max(D(0), excess / (1 + excess))
+        got = local_threshold(henon(a, b), branch, beta)
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert _ulps_from_exact(got, exact) <= 4
+
+
 def test_local_threshold_monotone_in_beta():
     betas = [0.0, 0.25, 0.5, 0.75, 0.9]
     for params in (henon(), lozi()):
