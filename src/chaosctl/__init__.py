@@ -8,7 +8,11 @@ Library layout:
 - stability: deterministic thresholds, expected-log-contraction analysis and
              its law-of-large-numbers diagnostics
 - sim:       trajectory engine, sweeps, limit sets, Monte Carlo experiments
+- verify:    the acceptance table; `chaosctl verify` imports it, and
+             importing the package does not
 - cli:       the `chaosctl` command-line front end with figure presets
+
+Every record is an immutable named tuple.
 """
 
 from .maps import (

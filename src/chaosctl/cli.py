@@ -31,8 +31,12 @@ time-based); the CHAOSCTL_SEED environment variable overrides it and an
 explicit --seed flag wins over both.
 
 Exit status: 0 success, 1 domain/analysis errors or an --out file that
-cannot be written, 2 usage errors (including a non-finite --x0/--y0 and a
---seed or CHAOSCTL_SEED outside [0, 2^64)).
+cannot be written, 2 usage errors (including a non-finite --x0/--y0, a
+--seed or CHAOSCTL_SEED outside [0, 2^64) and a --threads below 1).
+
+Startup imports only what every command shares: the acceptance table
+(`chaosctl.verify`) loads on the first `verify`, and `tempfile` on the
+first --out.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from typing import Iterable, Iterator, Optional
 
 from .control import ControlChannel, InvalidControl, NoiseDist, Stochastic
@@ -71,7 +74,6 @@ from .stability import (
     min_noise_for_stability,
     norm_threshold,
 )
-from . import verify as verify_mod
 
 _NORMS = {"linf": NormKind.LINF, "l1": NormKind.L1, "spectral": NormKind.L2SPECTRAL}
 _DISTS = {"bernoulli": NoiseDist.BERNOULLI_PM1, "uniform": NoiseDist.UNIFORM_M1P1}
@@ -91,6 +93,17 @@ def _seed_value(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if not 0 <= v < 1 << 64:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {text!r}")
+    return v
+
+
+def _threads_value(text: str) -> int:
+    """A thread count: an integer >= 1."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return v
 
 
@@ -150,7 +163,7 @@ def _add_init_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed_value, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads_value, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,7 +476,9 @@ def _cmd_montecarlo(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_verify(args) -> tuple[Iterable[str], int]:
-    rows = verify_mod.run_all(threads=args.threads)
+    from . import verify  # the acceptance table loads only for this command
+
+    rows = verify.run_all(threads=args.threads)
     lines = ["criterion,status,detail"]
     for row in rows:
         detail = row.detail.replace(",", ";")
@@ -485,6 +500,8 @@ _HANDLERS = {
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".chaosctl-", dir=directory)
     try:

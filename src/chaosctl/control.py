@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .maps import MapParams, Point2, map_step
 
@@ -72,15 +71,15 @@ class InvalidControl(ValueError):
     """A control intensity lies outside its allowed range."""
 
 
-@dataclass(frozen=True)
-class RngState:
+class RngState(NamedTuple("RngState", [("s", int)])):
     """SplitMix64 state; identical seeds give identical sample sequences."""
 
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.s <= _M64:
-            raise InvalidControl(f"rng state must be a 64-bit unsigned value, got {self.s}")
+    def __new__(cls, s: int) -> RngState:
+        if not 0 <= s <= _M64:
+            raise InvalidControl(f"rng state must be a 64-bit unsigned value, got {s}")
+        return super().__new__(cls, s)
 
 
 def _sm64_next(s: int) -> tuple[int, int]:
@@ -369,8 +368,9 @@ def _noise_chunks(
         s = (s + 2 * pairs * _GOLDEN) & _M64
 
 
-@dataclass(frozen=True)
-class ControlChannel:
+class ControlChannel(
+    NamedTuple("ControlChannel", [("alpha", float), ("ell", float), ("dist", NoiseDist)])
+):
     """One diagonal control channel: realized intensity d = alpha + ell*chi.
 
     When ell < min(alpha, 1 - alpha) every realized d stays inside (0, 1)
@@ -380,15 +380,16 @@ class ControlChannel:
     the worst-case contraction guarantees.
     """
 
-    alpha: float
-    ell: float = 0.0
-    dist: NoiseDist = NoiseDist.BERNOULLI_PM1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha < 1.0):
-            raise InvalidControl(f"channel mean must lie in [0, 1), got {self.alpha}")
-        if not (math.isfinite(self.ell) and self.ell >= 0.0):
-            raise InvalidControl(f"noise amplitude must be >= 0, got {self.ell}")
+    def __new__(
+        cls, alpha: float, ell: float = 0.0, dist: NoiseDist = NoiseDist.BERNOULLI_PM1
+    ) -> ControlChannel:
+        if not (math.isfinite(alpha) and 0.0 <= alpha < 1.0):
+            raise InvalidControl(f"channel mean must lie in [0, 1), got {alpha}")
+        if not (math.isfinite(ell) and ell >= 0.0):
+            raise InvalidControl(f"noise amplitude must be >= 0, got {ell}")
+        return super().__new__(cls, alpha, ell, dist)
 
     @property
     def constant_value(self) -> Optional[float]:
@@ -409,15 +410,14 @@ class ControlChannel:
         return 0.0 < self.alpha < 1.0 and self.ell < min(self.alpha, 1.0 - self.alpha)
 
 
-@dataclass(frozen=True)
-class Stochastic:
+class Stochastic(NamedTuple):
     """The control schedule: channels d_i = alpha_i + ell_i * chi_i.
 
     Deterministic control is the case ell_1 = ell_2 = 0; see `Constant`.
     """
 
     ch1: ControlChannel
-    ch2: ControlChannel = field(default_factory=lambda: ControlChannel(0.0))
+    ch2: ControlChannel = ControlChannel(0.0)
 
 
 def Constant(d1: float, d2: float = 0.0) -> Stochastic:

@@ -12,8 +12,8 @@ for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -37,8 +37,7 @@ class Branch(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     """A point of the planar state space."""
 
     x: float
@@ -48,8 +47,7 @@ class Point2:
         return math.isfinite(self.x) and math.isfinite(self.y)
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(NamedTuple):
     """Real 2x2 matrix, row-major entries."""
 
     a11: float
@@ -58,23 +56,21 @@ class Matrix2:
     a22: float
 
 
-@dataclass(frozen=True)
-class MapParams:
+class MapParams(NamedTuple("MapParams", [("kind", MapKind), ("a", float), ("b", float)])):
     """Which map plus its two coefficients.
 
     Requires a > 0 and b > 0.  The extra Lozi equilibrium-existence condition
     -a < 1 - b < a is checked where equilibria are actually requested.
     """
 
-    kind: MapKind
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"map coefficient a must be finite and > 0, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"map coefficient b must be finite and > 0, got {self.b}")
+    def __new__(cls, kind: MapKind, a: float, b: float) -> MapParams:
+        if not (math.isfinite(a) and a > 0.0):
+            raise DomainError(f"map coefficient a must be finite and > 0, got {a}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise DomainError(f"map coefficient b must be finite and > 0, got {b}")
+        return super().__new__(cls, kind, a, b)
 
 
 def henon(a: float = 1.4, b: float = 0.3) -> MapParams:

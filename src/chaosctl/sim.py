@@ -5,9 +5,15 @@ collapse point of a sweep's diagram, limit sets and Monte Carlo convergence
 probabilities.  Every experiment decomposes into independent tasks with
 pre-assigned noise streams and aggregates results by task index.  Batches
 run serially by default; `threads` > 1 opts into a thread pool, and the
-output is identical either way.  `collapse_alpha` runs the cells of
-`bifurcation_sweep` one alpha at a time from the top of the grid down and
-stops at the first alpha that has not collapsed.
+output is identical either way.  `concurrent.futures` is imported by the
+first batch that starts the pool, so a serial run never loads it.
+`collapse_alpha` runs the cells of `bifurcation_sweep` one alpha at a time
+from the top of the grid down and stops at the first alpha that has not
+collapsed.
+
+Every record here is an immutable named tuple.  The outcomes `Converged`,
+`Periodic`, `Bounded` and `Escaped` compare equal only to an outcome of
+their own kind, and every outcome is true.
 
 One engine, `_run_raw`, serves every experiment.  Its loop is written once,
 as a source template, and compiled on first use into at most four private
@@ -39,14 +45,10 @@ target in the max norm.
 from __future__ import annotations
 
 import functools
-import linecache
 import math
-import textwrap
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .control import (
     ControlChannel,
@@ -90,17 +92,15 @@ class InsufficientData(ValueError):
     """Trajectory too short for the requested classification."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple("SimConfig", [("initial", Point2), ("steps", int), ("seed", int)])):
     """Start, run length and seed of one experiment."""
 
-    initial: Point2
-    steps: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be positive, got {self.steps}")
+    def __new__(cls, initial: Point2, steps: int, seed: int = 0) -> SimConfig:
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
+        return super().__new__(cls, initial, steps, seed)
 
     @property
     def record_tail(self) -> int:
@@ -113,31 +113,53 @@ class SimConfig:
         return self.steps - self.record_tail
 
 
-@dataclass(frozen=True)
-class Converged:
+def _same_kind(self: tuple, other: object) -> bool:
+    """Outcome equality: the same kind and equal fields.  Tuple equality
+    alone would make Converged(5) equal Escaped(5)."""
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _other_kind(self: tuple, other: object) -> bool:
+    return not _same_kind(self, other)
+
+
+class Converged(NamedTuple):
+    """The last min(CONV_WINDOW, steps) states to at_step were within CONV_TOL of the target."""
+
     at_step: int
+    __eq__, __ne__ = _same_kind, _other_kind
 
     def __str__(self) -> str:
         return f"converged@{self.at_step}"
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(NamedTuple):
+    """Its tail repeats within PERIOD_TOL with least period `period`, at most PERIOD_MAX."""
+
     period: int
+    __eq__, __ne__ = _same_kind, _other_kind
 
     def __str__(self) -> str:
         return f"periodic({self.period})"
 
 
-@dataclass(frozen=True)
-class Bounded:
+class Bounded(NamedTuple):
+    """Its tail neither converged nor repeats with a period up to PERIOD_MAX."""
+
+    __eq__, __ne__ = _same_kind, _other_kind
+
+    def __bool__(self) -> bool:
+        return True  # an empty tuple is false; an outcome is not
+
     def __str__(self) -> str:
         return "bounded"
 
 
-@dataclass(frozen=True)
-class Escaped:
+class Escaped(NamedTuple):
+    """Its state left the box max(|x|, |y|) <= ESCAPE_BOUND, or was NaN, at step at_step."""
+
     at_step: int
+    __eq__, __ne__ = _same_kind, _other_kind
 
     def __str__(self) -> str:
         return f"escaped@{self.at_step}"
@@ -146,8 +168,7 @@ class Escaped:
 Outcome = Union[Converged, Periodic, Bounded, Escaped]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """A simulated orbit with the controls that produced it.
 
     points is the engine's own record of (x, y) tuples.  With record="all",
@@ -163,8 +184,7 @@ class Trajectory:
     steps_run: int
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     """Observed convergence frequency with a 95% Wilson interval."""
 
     trials: int
@@ -174,29 +194,30 @@ class MonteCarloReport:
     ci_high: float
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple("PointSet", [("points", tuple[Point2, ...])])):
     """Initial states used round-robin: trial k starts at points[k % len]."""
 
-    points: tuple[Point2, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __new__(cls, points: tuple[Point2, ...]) -> PointSet:
+        if not points:
             raise ValueError("initial point set must be non-empty")
+        return super().__new__(cls, points)
 
 
-@dataclass(frozen=True)
-class BoxSampler:
+class BoxSampler(
+    NamedTuple(
+        "BoxSampler", [("x_lo", float), ("x_hi", float), ("y_lo", float), ("y_hi", float)]
+    )
+):
     """Initial states drawn uniformly from a box, two draws per trial."""
 
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.x_lo <= self.x_hi and self.y_lo <= self.y_hi):
+    def __new__(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> BoxSampler:
+        if not (x_lo <= x_hi and y_lo <= y_hi):
             raise ValueError("box corners must be ordered")
+        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
 
 
 InitSampler = Union[PointSet, BoxSampler]
@@ -331,21 +352,24 @@ def _kernel(henon: bool, constant: bool) -> Callable:
     """
     name = f"{'henon' if henon else 'lozi'}-{'constant' if constant else 'drawn'}"
 
-    def segment(lo: str, hi: str, record: str) -> str:
+    def segment(lo: str, hi: str, record: str, indent: str) -> str:
         steps = f"range({lo}, {hi})"
-        return _SEGMENT.format(
+        text = _SEGMENT.format(
             head=f"n in {steps}" if constant else f"n, (c1, g1, c2, g2) in zip({steps}, coefs)",
             brent=_BRENT if constant else "",
             fx="y + 1.0 - a * x * x" if henon
             else "y + 1.0 - a * x if x >= 0.0 else y + 1.0 + a * x",
             record=record,
         )
+        return "".join(indent + line for line in text.splitlines(True))
 
     src = _KERNEL.format(
         unpack="    c1, g1, c2, g2 = coefs\n" if constant else "",
-        quiet=textwrap.indent(segment("1", "split", ""), "    "),
-        recording=textwrap.indent(segment("split", "steps + 1", "    append((x, y))\n"), "        "),
+        quiet=segment("1", "split", "", "    "),
+        recording=segment("split", "steps + 1", "    append((x, y))\n", "        "),
     )
+    import linecache  # loaded by the first compile, not at startup
+
     filename = f"<chaosctl.sim kernel {name}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace: dict = {}
@@ -507,12 +531,13 @@ def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[i
         raise ValueError(f"threads must be >= 1, got {threads}")
     if n_items <= 1 or threads is None or threads == 1:
         return [fn(i) for i in range(n_items)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the first pool only
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_items)))
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """Bifurcation sweep output.
 
     cells holds one list of tail x values per cell, or None for a cell that

@@ -19,11 +19,10 @@ estimate `mc_log_nu` and the law-of-large-numbers running averages
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice
 from operator import add, mul, truediv
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .control import ControlChannel, NoiseDist, step_values, stream_for_trial
 from .linalg2 import Matrix2, NormKind, induced_norm
@@ -55,8 +54,7 @@ def _below_one(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class NuModel:
+class NuModel(NamedTuple):
     """Affine contraction-factor model nu(n) = c + p*chi_1 + q*chi_2.
 
     `regime_ok` records whether the affine expression equals the matrix norm

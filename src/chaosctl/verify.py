@@ -18,11 +18,10 @@ the same output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .control import (
     Constant,
@@ -60,8 +59,7 @@ from .stability import (
 BRANCH = Branch.PLUS
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -621,14 +621,14 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
 
 def test_verify_wiring_pass_and_fail(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.verify_mod, "run_all",
+        "chaosctl.verify.run_all",
         lambda threads=None: [CheckRow("x", True, "ok"), CheckRow("y", True, "ok")],
     )
     rc, out, _ = run_cli(["verify"], capsys)
     assert rc == 0
     assert "x,pass,ok" in out
     monkeypatch.setattr(
-        cli.verify_mod, "run_all",
+        "chaosctl.verify.run_all",
         lambda threads=None: [CheckRow("x", True, "ok"), CheckRow("y", False, "boom")],
     )
     rc, out, _ = run_cli(["verify"], capsys)
@@ -825,3 +825,61 @@ def test_threshold_near_denominator_1_keeps_its_digits(capsys):
     # 1 - 1/(1 + 1e-17) is 0.0 in floating point; (denom - 1)/denom is not
     rc, out, _ = run_cli(["threshold", "--map", "lozi", "--a", "1e-17", "--b", "1"], capsys)
     assert (rc, out) == (0, "alpha_star,1e-17\n")
+
+
+_THREADS_ARGV = {
+    "simulate": ["--map", "henon", "--alpha1", "0.5", "--x0", "0.1", "--y0", "0.1"],
+    "bifurcation": ["--map", "henon", "--alpha-range", "0.4:0.6:3"],
+    "limitset": ["--map", "henon", "--alpha1", "0.5", "--x0", "0.1", "--y0", "0.1"],
+    "threshold": ["--map", "henon"],
+    "explog": ["--map", "henon", "--alpha1", "0.5", "--norm", "linf"],
+    "minnoise": ["--map", "henon", "--alpha1", "0.5", "--norm", "linf"],
+    "montecarlo": ["--map", "henon", "--alpha1", "0.5", "--x0", "0.1", "--y0", "0.1",
+                   "--trials", "3"],
+    "repro": ["fig3d"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(_THREADS_ARGV))
+def test_threads_below_one_is_usage_error(command, threads, capsys, monkeypatch):
+    argv = [command] + _THREADS_ARGV[command]
+    assert cli._parse(argv + ["--threads", "1"]).threads == 1
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no handler may run
+    rc, out, err = run_cli(argv + ["--threads", threads], capsys)
+    assert (rc, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"chaosctl {command}: error: argument --threads: must be >= 1, got '{threads}'"]
+
+
+_STARTUP = """\
+import contextlib, io, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import chaosctl.cli
+chaosctl.cli.build_parser()
+print(*sorted(set(sys.modules) - before))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = chaosctl.cli.run_command(["bifurcation", "--map", "henon", "--alpha-range",
+                                   "0.4:0.6:3", "--inits", "2", "--steps", "50", "--threads", "2"])
+assert rc == 0 and out.getvalue().count("\\n") == 3 + 3 * 2 * 50, (rc, out.getvalue())
+assert "concurrent.futures" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = chaosctl.cli.run_command(["verify"])
+assert rc == 1 and out.getvalue().startswith("criterion,status,detail\\n"), (rc, out.getvalue())
+assert "chaosctl.verify" in sys.modules
+"""
+
+
+def test_startup_imports_only_what_every_command_needs():
+    # a fresh interpreter, as the console script starts one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", _STARTUP, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "chaosctl.cli" in added
+    lazy = {"dataclasses", "inspect", "concurrent.futures", "textwrap", "linecache",
+            "chaosctl.verify"}
+    assert not added & lazy

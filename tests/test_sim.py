@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import inspect
 import io
 import math
@@ -649,7 +648,7 @@ def test_config_validation():
     for knob in ("transient", "record_tail", "conv_tol"):
         with pytest.raises(TypeError):
             SimConfig(initial=Point2(0, 0), steps=2000, **{knob: 1})
-    assert [f.name for f in dataclasses.fields(SimConfig)] == ["initial", "steps", "seed"]
+    assert SimConfig._fields == ("initial", "steps", "seed")
 
 
 def test_config_transient_is_what_the_tail_leaves():
@@ -784,7 +783,7 @@ def test_threads_default_is_serial(henon_std, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the thread pool ran without threads > 1")
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 3,
                       default_init_grid(2), cfg, ell1=0.1)
