@@ -17,18 +17,20 @@ One parser serves every command of a process: it is built on the first
 parse and reused, and `repro` parses its preset with it too.
 `build_parser()` still returns a new parser on each call.
 
-Every CSV starts with `#`-prefixed comments; the `# args:` line holds the
-canonical flag set, so re-running the printed flags reproduces the file
-byte-for-byte.  Trajectory, bifurcation and limit-set values are the `repr`
-of Python floats, the shortest round-trip decimals.  The CSV writers format
-each distinct value once where values repeat: a converged or cycling tail,
-a replayed cycle of states, the few control pairs of a constant or
-Bernoulli schedule.  Equal floats need not have equal text (0.0 == -0.0),
-so a writer reuses a text only where it has shown that no two equal values
-differ in sign of zero, and formats value by value otherwise: the bytes
-never depend on which path ran.  The default seed is 0 (never
-time-based); the CHAOSCTL_SEED environment variable overrides it and an
-explicit --seed flag wins over both.
+Every CSV starts with `#`-prefixed comments; the `# args:` line holds every
+flag of the command except --out and --threads, in the parser's order, so
+re-running the printed flags reproduces the file byte-for-byte.
+Trajectory, bifurcation and limit-set values are the `repr` of Python
+floats, the shortest round-trip decimals.  The CSV writers format a
+repeated value once where they can, and the bytes never depend on which
+path ran.  Pairs are reused by identity: a replayed cycle of states, a
+converged limit set and the control pairs of a constant or Bernoulli
+schedule repeat the same tuple objects, and one object has one text.
+Bifurcation cells are reused by value, a tail's distinct x values each
+formatted once, unless a zero is among them: 0.0 == -0.0, but their reprs
+differ.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
+environment variable overrides it and an explicit --seed flag wins over
+both.
 
 Exit status: 0 success, 1 domain/analysis errors or an --out file that
 cannot be written, 2 usage errors (including a non-finite --x0/--y0, a
@@ -48,7 +50,7 @@ import math
 import os
 import re
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .control import ControlChannel, InvalidControl, NoiseDist, Stochastic
 from .linalg2 import NormKind
@@ -56,7 +58,6 @@ from .maps import Branch, DomainError, MapKind, MapParams, Point2
 from .presets import PRESETS
 from .sim import (
     PERIOD_MAX,
-    RECORD_TAIL,
     PointSet,
     SimConfig,
     bifurcation_sweep,
@@ -261,17 +262,9 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
-_MAP_FLAGS = ("map", "a", "b", "branch")
-_SCHEDULE_FLAGS = ("alpha1", "ell1", "dist1", "alpha2", "ell2", "dist2")
-
-#: Canonical flags of each CSV subcommand, in `# args:` order.
-_CANONICAL = {
-    "simulate": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "seed"),
-    "bifurcation": _MAP_FLAGS
-    + ("alpha_range", "ell1", "dist1", "alpha2", "ell2", "dist2", "inits", "steps", "seed"),
-    "limitset": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "seed"),
-    "montecarlo": _MAP_FLAGS + _SCHEDULE_FLAGS + ("x0", "y0", "steps", "trials", "seed"),
-}
+#: Parsed values that the `# args:` line names as no flag: the subcommand,
+#: printed first, and --out and --threads, which change no byte of the data.
+_UNSTATED = ("command", "out", "threads")
 
 
 #: Dash-led values that argparse reads as values, not options: its own
@@ -281,10 +274,18 @@ _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _args_line(args) -> str:
-    """The `# args:` comment: re-running these flags reproduces the file."""
+    """The `# args:` comment: re-running these flags reproduces the file.
+
+    It names every parsed value outside _UNSTATED in the order of
+    `vars(args)`, which argparse fills in the order the subcommand's flags
+    were added, so a new flag enters the line with no edit here.
+    """
     parts = ["# args:", args.command]
-    for dest in _CANONICAL[args.command]:
-        v = _seed(args) if dest == "seed" else getattr(args, dest)
+    for dest, v in vars(args).items():
+        if dest in _UNSTATED:
+            continue
+        if dest == "seed":
+            v = _seed(args)
         if isinstance(v, float):
             v = _fmt(v)
         elif isinstance(v, tuple):  # --alpha-range
@@ -304,38 +305,25 @@ def _config(args, initial: Point2) -> SimConfig:
     return SimConfig(initial=initial, steps=args.steps, seed=_seed(args))
 
 
-def _pair_texts(pairs: list, distinct: Optional[set] = None) -> Iterator[str]:
+def _pair_texts(pairs: list) -> Iterable[str]:
     """The `a,b` text, two reprs, of each pair (a, b) of Python floats in pairs.
 
-    Given `distinct`, the set of the pairs, each distinct pair is formatted
-    once.  The caller must have proved that equal pairs have equal text:
-    0.0 == -0.0, but their reprs differ, and a dict keyed by value merges
-    them.
+    When the last pair recurs, as the same object, among the PERIOD_MAX
+    before it, as in a cycle the engine replays, a converged limit set or
+    the pairs of a constant or Bernoulli schedule, each distinct object is
+    formatted once, keyed by id: one object has one text.  pairs holds
+    every object while the ids are taken, so no two of them share an id.
     """
-    if distinct is None:
-        return (f"{a!r},{b!r}" for a, b in pairs)
-    keys = list(distinct)
-    return map(dict(zip(keys, _pair_texts(keys))).__getitem__, pairs)
-
-
-def _recurring(states: list) -> Optional[set]:
-    """The set of states, when they can be formatted once each; else None.
-
-    That is when the last state recurs among the RECORD_TAIL before it, as
-    in a cycle the engine replays or a limit set of one point, and no state
-    holds a zero, so that equal states have equal text.
-    """
-    if states and states[-1] in states[-RECORD_TAIL - 1 : -1]:
-        distinct = set(states)
-        if not any(0.0 in p for p in distinct):
-            return distinct
-    return None
+    if pairs and any(p is pairs[-1] for p in pairs[-PERIOD_MAX - 1 : -1]):
+        ids = list(map(id, pairs))
+        texts = {k: f"{a!r},{b!r}" for k, (a, b) in dict(zip(ids, pairs)).items()}
+        return map(texts.__getitem__, ids)
+    return [f"{a!r},{b!r}" for a, b in pairs]
 
 
 def _cmd_simulate(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
-    schedule = _schedule(args)
-    traj = run_trajectory(_params(args), _branch(args), schedule, cfg)
+    traj = run_trajectory(_params(args), _branch(args), _schedule(args), cfg)
     x0, y0 = traj.points[0]
     lines = [
         _args_line(args),
@@ -343,22 +331,8 @@ def _cmd_simulate(args) -> tuple[Iterable[str], int]:
         "n,x,y,d1,d2",
         f"0,{x0!r},{y0!r},,",
     ]
-    states, controls = traj.points[1:], traj.controls
-    # A constant or Bernoulli channel realizes at most two values, so the
-    # controls hold at most four distinct pairs.  A realized d = alpha +
-    # ell * chi is -0.0 only when alpha is (a sum is -0.0 only when both
-    # terms are), so without a -0.0 alpha equal pairs have equal text.
-    few = all(
-        (ch.constant_value is not None or ch.dist is NoiseDist.BERNOULLI_PM1)
-        and math.copysign(1.0, ch.alpha) > 0.0
-        for ch in (schedule.ch1, schedule.ch2)
-    )
-    rows = zip(
-        itertools.count(1),
-        _pair_texts(states, _recurring(states)),
-        _pair_texts(controls, set(controls) if few else None),
-    )
-    lines.extend(f"{n},{xy},{d}" for n, xy, d in rows)
+    rows = zip(itertools.count(1), _pair_texts(traj.points[1:]), _pair_texts(traj.controls))
+    lines += [f"{n},{xy},{d}" for n, xy, d in rows]
     return ["\n".join(lines) + "\n"], 0
 
 
@@ -417,8 +391,7 @@ def _cmd_limitset(args) -> tuple[Iterable[str], int]:
     cfg = _config(args, Point2(args.x0, args.y0))
     pts = limit_set(_params(args), _branch(args), _schedule(args), cfg)
     lines = [_args_line(args), "x,y"]
-    # a converged limit set is one point, formatted once and repeated
-    lines.extend(_pair_texts(pts, _recurring(pts)))
+    lines.extend(_pair_texts(pts))
     return ["\n".join(lines) + "\n"], 0
 
 

@@ -66,9 +66,8 @@ from .maps import Branch, MapKind, MapParams, Point2, fixed_point
 #: Tail window (points per cell) used when measuring bifurcation collapse.
 COLLAPSE_WINDOW = 50
 #: Per-alpha x-spread below which a tail counts as collapsed to one point.
-#: Near the collapse the slowest transients decay by roughly x0.4 per 0.001
-#: of control intensity (at 700-step runs), so this tolerance locates the
-#: collapse within about +0.004 of the true threshold.
+#: On the acceptance sweeps (700-step runs) it places the collapse above the
+#: local threshold by at most 0.004; tests/test_sim.py checks that bound.
 COLLAPSE_TOL = 2.5e-2
 #: Consecutive states within CONV_TOL of the target that count as converged;
 #: a run shorter than the window converges when all its states are within.

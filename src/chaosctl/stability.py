@@ -317,7 +317,7 @@ def _explog_single(c: float, w: float, dist: NoiseDist) -> float:
     if w == 0.0:
         return math.log(c)
     if dist is NoiseDist.BERNOULLI_PM1:
-        return 0.5 * math.log(c * c - w * w)
+        return 0.5 * (math.log(c - w) + math.log(c + w))
     # With u = w/c, E ln(c + w chi) = ln c + (atanh(u)/u - 1 + ln(1 - u^2)/2).
     # The antiderivative form ((c+w) ln(c+w) - (c-w) ln(c-w))/(2w) - 1
     # cancels as w -> 0; this one does not.  ln c is added last, so the

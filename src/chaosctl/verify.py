@@ -117,7 +117,8 @@ def check_threshold_table() -> CheckRow:
 # --- criterion 2: stochastic analysis table --------------------------------
 
 def _reference_models():
-    """The worked stochastic parameter sets used across the analysis checks."""
+    """The worked stochastic parameter sets used across the analysis checks;
+    entries 1, 2 and 7 are the cases with published values."""
     bern = NoiseDist.BERNOULLI_PM1
     unif = NoiseDist.UNIFORM_M1P1
     return [
@@ -142,20 +143,14 @@ def _reference_models():
 
 def check_stochastic_table() -> CheckRow:
     bad = []
-    m = build_nu_model(henon(), BRANCH, 0.0, NormKind.L1,
-                       ControlChannel(0.4, 0.2862), ControlChannel(0.8))
-    got = expected_log_nu(m)
+    models = _reference_models()
+    got = expected_log_nu(models[1])
     if abs(got - math.log(0.9999)) > 5e-4:
         bad.append(f"henon l1 bernoulli: {got:.2e}")
-    m = build_nu_model(henon(), BRANCH, 0.0, NormKind.L1,
-                       ControlChannel(0.44, 0.2862, NoiseDist.UNIFORM_M1P1),
-                       ControlChannel(0.9))
-    got = expected_log_nu(m)
+    got = expected_log_nu(models[2])
     if abs(got - (-0.0251)) > 1e-3:
         bad.append(f"henon l1 uniform: {got:.5f}")
-    m = build_nu_model(lozi(), BRANCH, 0.0, NormKind.L1,
-                       ControlChannel(0.27, 0.2), ControlChannel(0.9, 0.55))
-    got = expected_log_nu(m)
+    got = expected_log_nu(models[7])
     if abs(got - 0.25 * math.log(0.9936)) > 5e-4:
         bad.append(f"lozi two-bernoulli: {got:.6f}")
 
@@ -168,7 +163,7 @@ def check_stochastic_table() -> CheckRow:
     if abs(got - 0.416) > 2e-3:
         bad.append(f"min-noise henon(2,0.5) l1: {got:.5f}")
 
-    for i, model in enumerate(_reference_models()):
+    for i, model in enumerate(models):
         diff = abs(expected_log_nu(model) - expected_log_nu(model, "quadrature"))
         if diff > 1e-9:
             bad.append(f"closed-vs-quadrature set {i}: diff={diff:.2e}")
@@ -186,15 +181,19 @@ COLLAPSE_CASES = [
 ]
 
 
-def check_collapse(name, params, beta, lo, hi, expected, threads=None) -> CheckRow:
-    # The collapse point of the 200-alpha, 20-initial-state sweep, searched
-    # from the top alpha down: it runs only the cells at and above the first
-    # alpha that has not collapsed, and finds the same alpha as the full sweep.
+def collapse_point(params, beta, lo, hi, threads=None) -> Optional[float]:
+    """The collapse point of the 200-alpha, 20-initial-state sweep, searched
+    from the top alpha down: it runs only the cells at and above the first
+    alpha that has not collapsed, and finds the same alpha as the full sweep."""
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
-    got = collapse_alpha(
+    return collapse_alpha(
         params, BRANCH, ControlChannel(beta), lo, hi, 200,
         default_init_grid(20), cfg, threads=threads,
     )
+
+
+def check_collapse(name, params, beta, lo, hi, expected, threads=None) -> CheckRow:
+    got = collapse_point(params, beta, lo, hi, threads)
     ok = got is not None and abs(got - expected) <= 5e-3
     detail = f"collapse at {got if got is None else round(got, 4)} vs {expected} +/- 0.005"
     return _row(name, ok, detail)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaosctl import (
     ControlChannel,
+    Periodic,
     Point2,
     SweepResult,
     bifurcation_sweep,
@@ -37,6 +39,25 @@ def test_threshold_line(capsys):
     )
     assert rc == 0
     assert out == "alpha_star,0.51639\n"
+
+
+def _readme_outputs():
+    """(argv, output line) of each README command with a `# <output>` line under it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().replace("\\\n", " ").splitlines()
+    return [
+        (shlex.split(command)[1:], output.removeprefix("# "))
+        for command, output in zip(lines, lines[1:])
+        if command.startswith("chaosctl ") and output.startswith("# ")
+    ]
+
+
+def test_readme_outputs(capsys):
+    cases = _readme_outputs()
+    assert [argv[0] for argv, _ in cases] == ["threshold", "explog", "minnoise"]
+    for argv, output in cases:
+        assert run_cli(argv, capsys)[:2] == (0, output + "\n")
 
 
 def test_threshold_norm_variant(capsys):
@@ -768,8 +789,79 @@ def test_pair_texts_equal_plain_repr(head, cycle, n):
     # signed zeros, NaN and infinities among them
     states = head + (cycle * n)[:n]
     plain = [f"{x!r},{y!r}" for x, y in states]
-    assert list(cli._pair_texts(states, cli._recurring(states))) == plain
     assert list(cli._pair_texts(states)) == plain
+
+
+def test_pair_texts_keep_the_sign_of_zero():
+    # equal pairs held as distinct objects, ahead of a shared object that
+    # takes the identity-keyed path; then shared objects that are equal but
+    # differ in the sign of zero
+    shared = (0.0, 1.0)
+    pairs = [tuple([-0.0, 1.0]) for _ in range(5)] + [tuple([0.0, 1.0]) for _ in range(5)]
+    pairs += [shared] * 20
+    plain = [f"{x!r},{y!r}" for x, y in pairs]
+    assert list(cli._pair_texts(pairs)) == plain
+    negative = (-0.0, 1.0)
+    pairs = [shared, negative] * 20
+    assert list(cli._pair_texts(pairs)) == ["0.0,1.0", "-0.0,1.0"] * 20
+
+
+def _objects(xs):
+    """The number of distinct objects among xs."""
+    return len(set(map(id, xs)))
+
+
+def _assert_shared(pairs, most):
+    """pairs hold at most `most` objects, and _pair_texts gives each one text object."""
+    assert len(pairs) > 100 and _objects(pairs) <= most
+    assert _objects(list(cli._pair_texts(pairs))) == _objects(pairs)
+
+
+def test_engine_pairs_share_objects():
+    # the identity-keyed path of _pair_texts reads these shared objects
+    argv = ["--map", "henon", "--x0", "0.3", "--y0", "0.1"]
+    for flags, most in ([["--alpha1", "0.44", "--alpha2", "0.1"], 1],
+                        [["--alpha1", "0.44", "--ell1", "0.3"], 2]):
+        args = cli._parse(["simulate"] + flags + argv)
+        traj = run_trajectory(cli._params(args), cli._branch(args), cli._schedule(args),
+                              cli._config(args, Point2(args.x0, args.y0)))
+        _assert_shared(traj.controls, most)
+    # a constant schedule that ends in a 2-cycle, which the engine replays
+    args = cli._parse(["limitset", "--alpha1", "0.44"] + argv)
+    cfg = cli._config(args, Point2(args.x0, args.y0))
+    outcome = run_trajectory(cli._params(args), cli._branch(args), cli._schedule(args), cfg,
+                             record="tail").outcome
+    assert outcome == Periodic(2)
+    _assert_shared(limit_set(cli._params(args), cli._branch(args), cli._schedule(args), cfg), 2)
+
+
+#: The `# args:` flags of each CSV subcommand, in the parser's order.
+_ARGS_ORDER = {
+    "simulate": ("map", "a", "b", "branch", "alpha1", "ell1", "dist1", "alpha2", "ell2",
+                 "dist2", "x0", "y0", "steps", "seed"),
+    "bifurcation": ("map", "a", "b", "branch", "alpha-range", "ell1", "dist1", "alpha2",
+                    "ell2", "dist2", "inits", "steps", "seed"),
+    "limitset": ("map", "a", "b", "branch", "alpha1", "ell1", "dist1", "alpha2", "ell2",
+                 "dist2", "x0", "y0", "steps", "seed"),
+    "montecarlo": ("map", "a", "b", "branch", "alpha1", "ell1", "dist1", "alpha2", "ell2",
+                   "dist2", "x0", "y0", "steps", "trials", "seed"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGS_ORDER))
+def test_args_line_order(command):
+    # flags given in another order, --out and --threads among them, and aliases
+    argv = {
+        "simulate": ["--steps", "5", "--y0", "0.1", "--x0", "0.3", "--beta", "0.2"],
+        "bifurcation": ["--steps", "5", "--alpha-range", "0.4:0.6:3", "--inits", "2"],
+        "limitset": ["--y0", "0.1", "--x0", "0.3", "--alpha", "0.5"],
+        "montecarlo": ["--trials", "2", "--y0", "0.1", "--x0", "0.3", "--alpha", "0.5"],
+    }[command]
+    args = cli._parse([command, "--seed", "3", "--threads", "2", "--out", "x.csv"] + argv
+                      + ["--map", "henon"])
+    words = cli._args_line(args).split()
+    assert words[:3] == ["#", "args:", command]
+    assert tuple(w.removeprefix("--") for w in words[3::2]) == _ARGS_ORDER[command]
 
 
 def _simulate_plain(argv):

@@ -38,6 +38,7 @@ from chaosctl import (
     induced_norm,
     limit_set,
     lln_average,
+    local_threshold,
     lozi,
     map_step,
     mc_convergence,
@@ -729,6 +730,14 @@ def test_bifurcation_collapse_narrow(henon_std):
     assert res.escaped_cells == 0
     assert len(res.cells) == 60 * 8
     assert all(len(xs) == cfg.record_tail for xs in res.cells)
+
+
+@pytest.mark.parametrize("case", verify.COLLAPSE_CASES, ids=lambda c: c[0])
+def test_collapse_tol_places_collapse_within_0004_above_threshold(case):
+    # the bound that sim.COLLAPSE_TOL's comment states, on verify's rows 3a-3d
+    _, params, beta, lo, hi, _ = case
+    got = verify.collapse_point(params, beta, lo, hi)
+    assert 0.0 < got - local_threshold(params, PLUS, beta) <= 0.004
 
 
 def test_bifurcation_noise_lowers_collapse(lozi_std):

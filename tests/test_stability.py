@@ -399,6 +399,25 @@ def test_explog_single_uniform_is_accurate(log_c, log_u):
     assert abs(expected_log_nu(model) - _explog_uniform_reference(c, w)) <= 1e-13
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_c=st.floats(-3.0, 0.0), log_gap=st.floats(-15.0, -3.0))
+@example(log_c=0.0, log_gap=-6.0)
+@example(log_c=0.0, log_gap=-9.0)
+def test_explog_single_bernoulli_within_4_ulps(log_c, log_gap):
+    # E ln(c + w chi) = (ln(c - w) + ln(c + w)) / 2 as w -> c, for c in
+    # [1e-3, 1] and 1 - w/c in [1e-15, 1e-3], against a 60-digit reference
+    # from the doubles c and w.  Rounding c*c - w*w lost it here.
+    c = 10.0 ** log_c
+    w = c * (1.0 - 10.0 ** log_gap)
+    assume(w < c)
+    model = NuModel(c=c, p=w, q=0.0, dist1=BERN, dist2=BERN, regime_ok=True)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = ((D(c) - D(w)).ln() + (D(c) + D(w)).ln()) / 2
+        assert _ulps_from_exact(expected_log_nu(model), exact) <= 4
+
+
 def test_explog_single_uniform_noise_below_the_underflow():
     # w/c rounds to 0: the antiderivative form gave 0/(2w) - 1 = -1 here
     model = NuModel(c=2.0, p=5e-324, q=0.0, dist1=UNIF, dist2=BERN, regime_ok=True)
