@@ -34,7 +34,8 @@ its tail: the states of its last min(RECORD_TAIL, steps) steps, or the
 final state of a run that stopped before them.  Sweep cells and limit
 sets read the tail and the engine's outcome; Monte Carlo trials read only
 the outcome and record nothing.  A run under a constant control pair
-stops once its state repeats bit for bit and replays the cycle, with
+stops once its state repeats bit for bit; a drawn kernel steps the cycle
+once more, fed the same pair, and the rest of the run repeats it, with
 identical output.
 
 One convergence rule serves the engine and the classifier: a run converges
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -59,7 +60,6 @@ from .control import (
     next_rand,
     stream_for_trial,
     uniform_m1p1,
-    vmtoc_step,
 )
 from .maps import Branch, MapKind, MapParams, Point2, fixed_point
 
@@ -316,16 +316,17 @@ _BRENT = """\
         save_at = 2 * n
 """
 
-#: A kernel: steps 1..split - 1 unrecorded, then, unless the first segment
-#: stopped the run, steps split..steps each appended to the record.
+#: A kernel: from state n, with in_tol states in the window so far, steps
+#: n + 1..split - 1 unrecorded, then, unless the first segment stopped the
+#: run, steps split..steps each appended to the record.
 _KERNEL = """\
-def kernel(a, b, tx, ty, x, y, coefs, steps, split, tail, window, append):
+def kernel(a, b, tx, ty, x, y, coefs, steps, split, n, in_tol, tail, window, append):
     bound, tol = ESCAPE_BOUND, CONV_TOL
     neg_bound, neg_tol = -bound, -tol
     copysign, nan = math.copysign, math.nan
 {unpack}    sx = sy = nan
     saved_n, save_at = 0, 1
-    n = period = in_tol = 0
+    period = 0
     outcome = None
 {quiet}    else:
 {recording}    return x, y, n, outcome, period, in_tol
@@ -364,7 +365,7 @@ def _kernel(henon: bool, constant: bool) -> Callable:
 
     src = _KERNEL.format(
         unpack="    c1, g1, c2, g2 = coefs\n" if constant else "",
-        quiet=segment("1", "split", "", "    "),
+        quiet=segment("n + 1", "split", "", "    "),
         recording=segment("split", "steps + 1", "    append((x, y))\n", "        "),
     )
     import linecache  # loaded by the first compile, not at startup
@@ -413,9 +414,10 @@ def _run_raw(
     current one, so once a state repeats bit for bit the rest of the run is
     known.  Brent's cycle detection (Brent 1980, BIT 20:176-184) keeps one
     saved state, moved to the current one at steps 0, 1, 3, 7, ...; a cycle
-    whose period fits in record_tail ends the loop.  The cycle is stepped
-    again from the current state by vmtoc_step, since it may precede the
-    recorded window, and the remaining steps are replayed from it.
+    whose period fits in record_tail ends the loop.  The drawn kernel, fed
+    `repeat(coefs)`, steps the cycle again from the current state, since it
+    may precede the recorded window, and counts the window on for at most
+    period + window steps; the remaining steps repeat the recorded cycle.
     """
     steps, tail = cfg.steps, cfg.record_tail
     window = min(CONV_WINDOW, steps)
@@ -430,9 +432,10 @@ def _run_raw(
         coefs = control_pairs(schedule, rng_s, target, steps)
     rec = [(start.x, start.y)] if first == 0 else []
     split = min(max(first, 1), steps + 1)
-    x, y, n, outcome, period, in_tol = _kernel(params.kind is MapKind.HENON, constant)(
+    henon = params.kind is MapKind.HENON
+    x, y, n, outcome, period, in_tol = _kernel(henon, constant)(
         params.a, params.b, target.x, target.y, start.x, start.y,
-        coefs, steps, split, tail, window, rec.append,
+        coefs, steps, split, 0, 0, tail, window, rec.append,
     )
 
     if outcome is not None and n < first:
@@ -440,30 +443,21 @@ def _run_raw(
     if period:
         # States done+1..done+period form the cycle; state m > done is
         # cycle[(m - done - 1) % period].  Within period + window more
-        # steps the in_tol count either reaches window or never will.
+        # steps the in_tol count either reaches window or never will; a
+        # run that ends or converges sooner records only the states to n.
         done = n - 1
-        tx, ty, tol = target.x, target.y, CONV_TOL
-        p = Point2(x, y)
         cycle = []
-        for _ in range(period):
-            p = vmtoc_step(params, target, d1, d2, p)
-            cycle.append((p.x, p.y))
-        n = steps
-        for m in range(done + 1, min(n, done + period + window) + 1):
-            cx, cy = cycle[(m - done - 1) % period]
-            if -tol < cx - tx < tol and -tol < cy - ty < tol:
-                in_tol += 1
-                if in_tol >= window:
-                    outcome = Converged(m)
-                    n = m
-                    break
-            else:
-                in_tol = 0
+        _, _, _, outcome, _, _ = _kernel(henon, False)(
+            params.a, params.b, target.x, target.y, x, y, repeat(coefs),
+            min(steps, done + period + window), done + 1, done, in_tol, tail, window,
+            cycle.append,
+        )
+        n = steps if outcome is None else outcome.at_step
         # a run that converges before step first records its final state;
         # states fill..n are the cycle turned to start at state fill, repeated
         fill = min(max(done + 1, first), n)
         turn = (fill - done - 1) % period
-        turned, count = cycle[turn:] + cycle[:turn], n + 1 - fill
+        turned, count = cycle[turn:period] + cycle[:turn], n + 1 - fill
         rec.extend(turned * (count // period) + turned[: count % period])
     return rec, outcome, n
 

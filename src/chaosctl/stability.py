@@ -411,12 +411,12 @@ def expected_log_nu(model: NuModel, method: str = "closed-form", *, seed: int = 
     """E ln(c + p*chi_1 + q*chi_2) for the model's noise distributions.
 
     method="closed-form" uses exact expressions (four-point average for two
-    Bernoulli channels, 0.5 ln(c^2 - p^2) for a single Bernoulli channel,
-    ln c + atanh(u)/u + ln(1 - u^2)/2 - 1 with u = |p|/c for a single
-    uniform channel) and falls back to quadrature for mixed or
-    double-uniform pairs.  method="quadrature" uses
-    adaptive Simpson to absolute tolerance QUAD_TOL; method="monte-carlo" a
-    sample mean over MC_SAMPLES draws of stream `seed`.
+    Bernoulli channels, 0.5 (ln(c - p) + ln(c + p)) for a single Bernoulli
+    channel, ln c + atanh(u)/u + ln(1 - u^2)/2 - 1 with u = |p|/c for a
+    single uniform channel) and falls back to quadrature for mixed or
+    double-uniform pairs.  method="quadrature" uses adaptive Simpson to
+    absolute tolerance QUAD_TOL; method="monte-carlo" a sample mean over
+    MC_SAMPLES draws of stream `seed`.
     """
     _check_model(model)
     if method == "monte-carlo":

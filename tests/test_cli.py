@@ -403,6 +403,19 @@ def test_bifurcation_threads_byte_identical():
     assert cli.render(base + ["--threads", "1"]) == cli.render(base + ["--threads", "4"])
 
 
+@pytest.mark.parametrize("preset", ["fig3d", "fig7d", "fig10b"])
+def test_repro_bytes_equal_in_fresh_interpreters(preset, monkeypatch):
+    # every run is deterministic with no thread pool: one and two Bernoulli
+    # channels, and uniform noise, render the same bytes in this process and
+    # in fresh interpreters whose string hashing differs
+    monkeypatch.delenv("CHAOSCTL_SEED", raising=False)
+    argv = ["repro", preset]
+    want = cli.render(argv).encode()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        assert _fresh_process(argv, env) == (0, want), hash_seed
+
+
 def _single_join_reference(argv):
     """The bifurcation CSV as one string, by the formula the streamed writer replaced."""
     args = cli._parse(argv)

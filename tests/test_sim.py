@@ -278,6 +278,9 @@ _TAIL_CASES = {
     # the states recorded when the loop ends already form a Converged tail
     # shorter than CONV_WINDOW, but the replay moves its step from 2 to 3
     "short-tail-in-replay": ("converged-in-window", 3, "all"),
+    # the run ends within one period of the cycle exit, so the replay
+    # records fewer states than the period
+    "cycle-near-end": ("period-4", 133, "all"),
 }
 
 
@@ -344,6 +347,10 @@ def test_cycle_cases_cover():
     assert outcome == Converged(CONV_WINDOW) and at < CONV_WINDOW < first
     at, _, outcome = exits["short-tail-in-replay"]
     assert outcome == Converged(3) and at == 2
+    at, _, _ = exits["cycle-near-end"]
+    steps = _TAIL_CASES["cycle-near-end"][1]
+    # the replay steps states at..steps, fewer than the period of 4
+    assert at == 132 and steps + 1 - at < 4
 
 
 @st.composite
@@ -366,6 +373,7 @@ def _cycle_runs(draw):
 @example(run=_tail_case("cycle-inside-window"))
 @example(run=_tail_case("converged-in-replay"))
 @example(run=_tail_case("short-tail-in-replay"))
+@example(run=_tail_case("cycle-near-end"))
 def test_cycle_exit_matches_step_reference(run):
     params, branch, schedule, cfg, record = run
     traj = run_trajectory(params, branch, schedule, cfg, record=record)
@@ -544,7 +552,7 @@ def test_lozi_sign_split_matches_map_step(constant, a):
         for y in _SPECIAL + [-1.0 - 2**-52]:
             rec = []
             kernel(params.a, params.b, 0.0, 0.0, x, y, coefs if constant else iter([coefs]),
-                   steps=1, split=1, tail=1, window=1, append=rec.append)
+                   steps=1, split=1, n=0, in_tol=0, tail=1, window=1, append=rec.append)
             want = map_step(params, Point2(x, y))
             assert repr(rec) == repr([(want.x, want.y)]), (x, y)
 
