@@ -68,6 +68,7 @@ from .sim import (
     Periodic,
     PointSet,
     SimConfig,
+    SweepCell,
     SweepResult,
     Trajectory,
     bifurcation_sweep,

@@ -9,8 +9,9 @@ stderr only.
 Each handler returns its output as an iterable of text chunks, and CSV is
 written as it is formatted: `bifurcation` yields one chunk per alpha, so its
 text is never held whole.  Its sweep still finishes before the first row is
-written, because the `# escaped_cells:` header needs the full count; an error
-in the sweep therefore writes nothing.  A reader that closes stdout early
+written, because the `# escaped_cells:` header needs the full count, and
+holds each cell meanwhile as one repeating unit of doubles; an error in the
+sweep therefore writes nothing.  A reader that closes stdout early
 (`| head`) ends the output quietly.
 
 One parser serves every command of a process: it is built on the first
@@ -26,11 +27,10 @@ repeated value once where they can, and the bytes never depend on which
 path ran.  Pairs are reused by identity: a replayed cycle of states, a
 converged limit set and the control pairs of a constant or Bernoulli
 schedule repeat the same tuple objects, and one object has one text.
-Bifurcation cells are reused by value, a tail's distinct x values each
-formatted once, unless a zero is among them: 0.0 == -0.0, but their reprs
-differ.  The default seed is 0 (never time-based); the CHAOSCTL_SEED
-environment variable overrides it and an explicit --seed flag wins over
-both.
+A bifurcation cell is kept as the repeating unit of its tail: the unit's
+rows are formatted once and their text repeated.  The default seed is 0
+(never time-based); the CHAOSCTL_SEED environment variable overrides it
+and an explicit --seed flag wins over both.
 
 Exit status: 0 success, 1 domain/analysis errors or an --out file that
 cannot be written, 2 usage errors (including a non-finite --x0/--y0, a
@@ -60,6 +60,7 @@ from .sim import (
     PERIOD_MAX,
     PointSet,
     SimConfig,
+    SweepCell,
     bifurcation_sweep,
     default_init_grid,
     limit_set,
@@ -362,29 +363,25 @@ def _bifurcation_rows(res) -> Iterator[str]:
     for i, alpha in enumerate(res.alphas):
         prefix = _fmt(alpha) + ","
         cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
-        text = "".join(_cell_rows(prefix, xs) for xs in cells if xs)
+        text = "".join(_cell_rows(prefix, cell) for cell in cells if cell)
         if text:
             yield text
 
 
-def _cell_rows(prefix: str, xs: list[float]) -> str:
-    """The rows of one cell's tail x values xs; prefix is the `alpha,` text.
+def _cell_rows(prefix: str, cell: SweepCell) -> str:
+    """The rows of one sweep cell; prefix is the `alpha,` text.
 
-    Tail values are Python floats, so repr is _fmt.  A tail whose last value
-    does not recur among the PERIOD_MAX values before it, as in a noisy or
-    chaotic tail, is formatted value by value.  A tail of one value, not
-    +-0.0, is one row repeated.  Any other tail is formatted once per
-    distinct value, unless it holds a zero: 0.0 == -0.0, but their reprs
-    differ, and a dict keyed by value would merge them.
+    The cell's tail is its unit repeated and cut to cell.count values, so
+    the unit's rows are formatted once, each value's repr (_fmt of a double)
+    from the value itself, and their text is repeated the same way.
     """
-    last = xs[-1]
-    if last in xs[-PERIOD_MAX - 1 : -1]:
-        if last != 0.0 and xs.count(last) == len(xs):
-            return (prefix + repr(last) + "\n") * len(xs)
-        distinct = set(xs)
-        if 0.0 not in distinct:
-            return "".join(map({x: prefix + repr(x) + "\n" for x in distinct}.__getitem__, xs))
-    return prefix + ("\n" + prefix).join(map(repr, xs)) + "\n"
+    texts = list(map(repr, cell.unit))
+    whole, part = divmod(cell.count, len(texts))
+    sep = "\n" + prefix
+    text = (prefix + sep.join(texts) + "\n") * whole
+    if part:
+        text += prefix + sep.join(texts[:part]) + "\n"
+    return text
 
 
 def _cmd_limitset(args) -> tuple[Iterable[str], int]:

@@ -27,16 +27,20 @@ control pairs: from locals when both channels are constant by
 and the recorded ones run as two segments of the same body.  It records
 no controls; `run_trajectory` reads its controls after the loop from a
 fresh stream of the same schedule, cut to the steps run.  It records raw
-(x, y) tuples, and that record is every run's result: `Trajectory.points`,
-a sweep cell's tail and a limit set.  `Point2` is only the type of a state
-passed in: the start, the target.  A run records all its states or only
-its tail: the states of its last min(RECORD_TAIL, steps) steps, or the
-final state of a run that stopped before them.  Sweep cells and limit
-sets read the tail and the engine's outcome; Monte Carlo trials read only
-the outcome and record nothing.  A run under a constant control pair
-stops once its state repeats bit for bit; a drawn kernel steps the cycle
-once more, fed the same pair, and the rest of the run repeats it, with
-identical output.
+(x, y) tuples.  `Point2` is only the type of a state passed in: the
+start, the target.  A run records all its states or only its tail: the
+states of its last min(RECORD_TAIL, steps) steps, or the final state of a
+run that stopped before them.  A run under a constant control pair stops
+once its state repeats bit for bit; a drawn kernel steps the cycle once
+more, fed the same pair, and the rest of the run repeats that cycle.  The
+engine hands the cycle back as a unit with a count of states, not
+expanded.  `Trajectory.points` and a limit set are the record with the
+unit expanded.  A sweep cell keeps only the x values of its tail, as a
+`SweepCell`: one repeating unit of doubles and the tail's length.  The
+unit is the final x of a converged cell, one turn of the cycle when the
+replay filled the whole tail, or else the whole tail, so a sweep holds
+8 bytes a unit value and no float objects while it runs.  Monte Carlo
+trials read only the outcome and record nothing.
 
 One convergence rule serves the engine and the classifier: a run converges
 when its last min(CONV_WINDOW, steps) states are within CONV_TOL of the
@@ -47,8 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from itertools import islice, repeat
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .control import (
@@ -84,7 +88,6 @@ PERIOD_MAX = 16
 PERIOD_TOL = 1e-6
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_first = itemgetter(0)  # x of an (x, y) state, taken in C
 
 
 class InsufficientData(ValueError):
@@ -385,8 +388,12 @@ def _run_raw(
     start: Point2,
     rng_s: int,
     first: int,
-) -> tuple[list[tuple[float, float]], Optional[Outcome], int]:
-    """Engine core: (states, outcome or None, steps run) of a run from start.
+) -> tuple[list[tuple[float, float]], Optional[Outcome], int, list[tuple[float, float]], int]:
+    """Engine core: (rec, outcome or None, steps run, unit, count) of a run from start.
+
+    The run's recorded states are rec followed by `_repeat(unit, count)`:
+    unit is one turn of a replayed cycle, and is empty, with count 0, for a
+    run that left the loop by no cycle exit.
 
     The engine loop is written once, as the source template `_SEGMENT`, and
     compiled on first use into one of four kernels (`_kernel`): Henon or
@@ -417,7 +424,9 @@ def _run_raw(
     whose period fits in record_tail ends the loop.  The drawn kernel, fed
     `repeat(coefs)`, steps the cycle again from the current state, since it
     may precede the recorded window, and counts the window on for at most
-    period + window steps; the remaining steps repeat the recorded cycle.
+    period + window steps; the remaining steps repeat that cycle, which is
+    returned as the unit, turned to start at the first state the fill
+    records, and not expanded.
     """
     steps, tail = cfg.steps, cfg.record_tail
     window = min(CONV_WINDOW, steps)
@@ -440,26 +449,32 @@ def _run_raw(
 
     if outcome is not None and n < first:
         rec.append((x, y))
-    if period:
-        # States done+1..done+period form the cycle; state m > done is
-        # cycle[(m - done - 1) % period].  Within period + window more
-        # steps the in_tol count either reaches window or never will; a
-        # run that ends or converges sooner records only the states to n.
-        done = n - 1
-        cycle = []
-        _, _, _, outcome, _, _ = _kernel(henon, False)(
-            params.a, params.b, target.x, target.y, x, y, repeat(coefs),
-            min(steps, done + period + window), done + 1, done, in_tol, tail, window,
-            cycle.append,
-        )
-        n = steps if outcome is None else outcome.at_step
-        # a run that converges before step first records its final state;
-        # states fill..n are the cycle turned to start at state fill, repeated
-        fill = min(max(done + 1, first), n)
-        turn = (fill - done - 1) % period
-        turned, count = cycle[turn:period] + cycle[:turn], n + 1 - fill
-        rec.extend(turned * (count // period) + turned[: count % period])
-    return rec, outcome, n
+    if not period:
+        return rec, outcome, n, [], 0
+    # States done+1..done+period form the cycle; state m > done is
+    # cycle[(m - done - 1) % period].  Within period + window more steps
+    # the in_tol count either reaches window or never will; a run that
+    # ends or converges sooner records only the states to n.
+    done = n - 1
+    cycle = []
+    _, _, _, outcome, _, _ = _kernel(henon, False)(
+        params.a, params.b, target.x, target.y, x, y, repeat(coefs),
+        min(steps, done + period + window), done + 1, done, in_tol, tail, window,
+        cycle.append,
+    )
+    n = steps if outcome is None else outcome.at_step
+    # a run that converges before step first records its final state;
+    # states fill..n are the cycle turned to start at state fill, repeated
+    fill = min(max(done + 1, first), n)
+    turn = (fill - done - 1) % period
+    return rec, outcome, n, cycle[turn:period] + cycle[:turn], n + 1 - fill
+
+
+def _repeat(unit, count: int):
+    """unit repeated end to end and cut to its first count items, for a list
+    or an array; unit is empty only if count is 0."""
+    whole, part = divmod(count, len(unit) or 1)
+    return unit * whole + unit[:part]
 
 
 def run_trajectory(
@@ -483,7 +498,8 @@ def run_trajectory(
     target = fixed_point(params, branch)
     s = stream_for_trial(cfg.seed, 0).s
     first = 0 if record == "all" else cfg.transient + 1
-    rec, outcome, n = _run_raw(params, target, schedule, cfg, cfg.initial, s, first)
+    rec, outcome, n, unit, count = _run_raw(params, target, schedule, cfg, cfg.initial, s, first)
+    rec += _repeat(unit, count)
     if outcome is None:
         outcome = _classify_points(rec[-cfg.record_tail :], n, target)
     # rec holds states start..n; keep the pairs that produced states max(start, 1)..n
@@ -507,15 +523,57 @@ def _cell_tail(
     """Recorded (x, y) tail of one finished cell started at init, or None if it escaped.
 
     A converged cell repeats its final state record_tail times: that is its
-    limit set.
+    limit set.  This is `limit_set`'s record, with every state expanded, and
+    the reference for the unit a sweep keeps (`_cell_unit`).
     """
     rng_s = stream_for_trial(cfg.seed, stream).s
-    rec, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng_s, cfg.transient + 1)
+    rec, outcome, _, unit, count = _run_raw(
+        params, target, schedule, cfg, init, rng_s, cfg.transient + 1
+    )
     if isinstance(outcome, Escaped):
         return None
+    rec += _repeat(unit, count)
     if isinstance(outcome, Converged):
         return [rec[-1]] * cfg.record_tail
     return rec
+
+
+class SweepCell(NamedTuple):
+    """The record_tail x values of a sweep cell's tail, kept as their repeating unit.
+
+    The tail is `count` values, unit repeated end to end and cut to count.
+    unit is the final x of a converged cell, one turn of the cycle when the
+    engine's replay filled the whole tail, or else the whole tail.
+    """
+
+    unit: array
+    count: int
+
+
+def _cell_unit(
+    params: MapParams,
+    target: Point2,
+    schedule: Stochastic,
+    cfg: SimConfig,
+    init: Point2,
+    stream: int,
+) -> Optional[SweepCell]:
+    """The x values of `_cell_tail` with the same arguments, as a SweepCell,
+    or None if the cell escaped; the tail is never expanded unless the cycle
+    exit came after the tail began, when only part of it was replayed."""
+    rng_s = stream_for_trial(cfg.seed, stream).s
+    rec, outcome, _, unit, count = _run_raw(
+        params, target, schedule, cfg, init, rng_s, cfg.transient + 1
+    )
+    if isinstance(outcome, Escaped):
+        return None
+    if rec:  # the tail began before any cycle exit: keep it whole
+        rec += _repeat(unit, count)
+        unit, count = rec, len(rec)
+    if isinstance(outcome, Converged):
+        unit = (unit[(count - 1) % len(unit)],)  # the final state
+    # a list, not an iterator, sizes the array exactly
+    return SweepCell(array("d", [x for x, _ in unit]), cfg.record_tail)
 
 
 def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[int]) -> list:
@@ -533,13 +591,16 @@ def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[i
 class SweepResult(NamedTuple):
     """Bifurcation sweep output.
 
-    cells holds one list of tail x values per cell, or None for a cell that
-    escaped, ordered by (alpha index, initial index); cells[i * n_inits + j]
-    started at initial state j under alphas[i].
+    cells holds one SweepCell per cell, the tail x values as their repeating
+    unit of doubles, or None for a cell that escaped, ordered by (alpha
+    index, initial index); cells[i * n_inits + j] started at initial state j
+    under alphas[i].  A cell costs 8 bytes a unit value and about 150 bytes
+    of headers: about 1.7 KB for a noisy 200-value tail, 0.15 KB for a
+    converged cell.
     """
 
     alphas: tuple[float, ...]
-    cells: list[Optional[list[float]]]
+    cells: list[Optional[SweepCell]]
     escaped_cells: int
 
 
@@ -574,20 +635,19 @@ def _sweep_cell(
     cfg: SimConfig,
     ell1: float,
     dist1: NoiseDist,
-) -> Callable[[int], Optional[list[float]]]:
+) -> Callable[[int], Optional[SweepCell]]:
     """The cell runner of a sweep: cell k = i * len(inits) + j starts at
-    inits[j] under alphas[i] on noise stream k and gives its tail x values,
-    or None if it escaped."""
+    inits[j] under alphas[i] on noise stream k and gives its tail x values
+    as a SweepCell, or None if it escaped."""
     if not inits:
         raise ValueError("need at least one initial state")
     target = fixed_point(params, branch)
     n_inits = len(inits)
 
-    def run_cell(k: int) -> Optional[list[float]]:
+    def run_cell(k: int) -> Optional[SweepCell]:
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
-        pts = _cell_tail(params, target, schedule, cfg, inits[j], k)
-        return None if pts is None else list(map(_first, pts))
+        return _cell_unit(params, target, schedule, cfg, inits[j], k)
 
     return run_cell
 
@@ -609,14 +669,14 @@ def bifurcation_sweep(
 
     For each of n_alpha evenly spaced alphas and each initial state, runs one
     trajectory (cell stream = alpha index * len(inits) + initial index) and
-    keeps x of its record_tail post-transient states.  Cells that converged
-    early keep their final state repeatedly -- that is their limit set;
-    escaped cells keep nothing and are counted.
+    keeps x of its record_tail post-transient states as a SweepCell.  Cells
+    that converged early keep their final state repeatedly -- that is their
+    limit set; escaped cells keep nothing and are counted.
     """
     alphas = _alpha_grid(alpha_lo, alpha_hi, n_alpha)
     run_cell = _sweep_cell(params, branch, ch2, alphas, inits, cfg, ell1, dist1)
     cells = _parallel_map(run_cell, n_alpha * len(inits), threads)
-    return SweepResult(alphas, cells, sum(xs is None for xs in cells))
+    return SweepResult(alphas, cells, sum(cell is None for cell in cells))
 
 
 def collapse_alpha(
@@ -649,9 +709,9 @@ def collapse_alpha(
     for i in reversed(range(n_alpha)):
         first = i * n_inits
         tails = [
-            xs[-COLLAPSE_WINDOW:]
-            for xs in _parallel_map(lambda j: run_cell(first + j), n_inits, threads)
-            if xs is not None
+            _repeat(*cell)[-COLLAPSE_WINDOW:]
+            for cell in _parallel_map(lambda j: run_cell(first + j), n_inits, threads)
+            if cell is not None
         ]
         if not tails or max(map(max, tails)) - min(map(min, tails)) >= COLLAPSE_TOL:
             break
@@ -707,7 +767,7 @@ def mc_convergence(
                 bx.y_lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (bx.y_hi - bx.y_lo),
             )
         # only the outcome is read: a first step past the run records nothing
-        _, outcome, _ = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.steps + 1)
+        outcome = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.steps + 1)[1]
         return isinstance(outcome, Converged)
 
     flags = _parallel_map(run_one, trials, threads)

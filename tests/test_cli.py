@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from chaosctl import (
     ControlChannel,
     Periodic,
     Point2,
+    SweepCell,
     SweepResult,
     bifurcation_sweep,
     cli,
@@ -416,6 +418,11 @@ def test_repro_bytes_equal_in_fresh_interpreters(preset, monkeypatch):
         assert _fresh_process(argv, env) == (0, want), hash_seed
 
 
+def _values(cell):
+    """A sweep cell's tail x values: its unit repeated and cut to its count."""
+    return () if cell is None else [cell.unit[k % len(cell.unit)] for k in range(cell.count)]
+
+
 def _single_join_reference(argv):
     """The bifurcation CSV as one string, by the formula the streamed writer replaced."""
     args = cli._parse(argv)
@@ -429,8 +436,8 @@ def _single_join_reference(argv):
     lines = [cli._args_line(args), f"# escaped_cells: {res.escaped_cells}", "alpha,x"]
     per_alpha = len(res.cells) // len(res.alphas)
     for i, alpha in enumerate(res.alphas):
-        for xs in res.cells[i * per_alpha : (i + 1) * per_alpha]:
-            lines.extend(f"{alpha!r},{x!r}" for x in xs or ())
+        for cell in res.cells[i * per_alpha : (i + 1) * per_alpha]:
+            lines.extend(f"{alpha!r},{x!r}" for x in _values(cell))
     live = [i for i in range(n_alpha) if any(res.cells[i * per_alpha : (i + 1) * per_alpha])]
     return "\n".join(lines) + "\n", [res.alphas[i] for i in live]
 
@@ -480,23 +487,28 @@ def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_init
 
 
 def test_bifurcation_rows_bytes():
-    # Signed zeros share an alpha (0.0 == -0.0, but their reprs differ), values
-    # repeat, some cells escaped, and every cell of alphas[1] escaped.
+    # Signed zeros share an alpha and a unit (0.0 == -0.0, but their reprs
+    # differ), units repeat whole and in part, some cells escaped, and every
+    # cell of alphas[1] escaped.
     res = SweepResult(
         alphas=(0.1, 0.25, 0.5),
         cells=[
-            [0.0, -0.0, 0.3], [0.3, 0.3, -0.0], None,
+            SweepCell(array("d", [0.0, -0.0, 0.3]), 3), SweepCell(array("d", [-0.0]), 4), None,
             None, None, None,
-            [0.7, 0.7, 1e-300], None, [-2.5, 0.7, 0.1 + 0.2],
+            SweepCell(array("d", [0.7, 1e-300]), 5), None,
+            SweepCell(array("d", [-2.5, 0.7, 0.1 + 0.2]), 2),
         ],
         escaped_cells=5,
     )
     chunks = list(cli._bifurcation_rows(res))
     reference = [
-        "".join(f"{alpha!r},{x!r}\n" for xs in res.cells[3 * i : 3 * i + 3] for x in xs or ())
+        "".join(f"{alpha!r},{x!r}\n" for cell in res.cells[3 * i : 3 * i + 3]
+                for x in _values(cell))
         for i, alpha in enumerate(res.alphas)
     ]
     assert chunks == [reference[0], reference[2]]
+    assert chunks[0] == "0.1,0.0\n0.1,-0.0\n0.1,0.3\n" + "0.1,-0.0\n" * 4
+    assert chunks[1] == "0.5,0.7\n0.5,1e-300\n" * 2 + "0.5,0.7\n0.5,-2.5\n0.5,0.7\n"
 
 
 # SHA-256 of `repro <preset> --seed 0` for the sweep presets that the
@@ -589,6 +601,17 @@ def test_limitset_csv(capsys):
     assert lines[0] == "x,y"
     assert len(lines) == 201
     assert all(abs(float(l.split(",")[0]) - 0.6314) < 1e-3 for l in lines[1:])
+
+
+def test_limitset_of_an_escaped_run_is_empty(capsys):
+    # the README's example: the run escapes, so the file is its `# args:`
+    # line and the header, with no rows and no outcome line, and exits 0
+    argv = ["limitset", "--map", "henon", "--a", "3", "--alpha1", "0.1",
+            "--x0", "5", "--y0", "5"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert out == cli._args_line(cli._parse(argv)) + "\nx,y\n"
+    assert out.startswith("# args: limitset --map henon --a 3.0 ")
 
 
 def test_montecarlo_csv(capsys):
@@ -758,34 +781,33 @@ _value = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_in
 
 
 @st.composite
-def _tail(draw):
-    """A tail: constant, period-k (k <= 16) after a transient, all distinct, or mixed."""
-    n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["constant", "periodic", "distinct", "mixed"]))
+def _cell(draw):
+    """A sweep cell: a unit of one value, a short cycle, all distinct or mixed,
+    repeated to a count that may cut its last turn short."""
+    kind = draw(st.sampled_from(["constant", "cycle", "distinct", "mixed"]))
     if kind == "constant":
-        v = draw(_value)
-        # one object repeated, or equal values as distinct objects
-        return [v] * n if draw(st.booleans()) else [float(repr(v)) for _ in range(n)]
-    if kind == "periodic":
-        cycle = draw(st.lists(_value, min_size=1, max_size=16))
-        head = draw(st.lists(_value, max_size=5))
-        return (head + cycle * n)[:n]
-    if kind == "distinct":
-        return draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n, unique=True))
-    return draw(st.lists(st.sampled_from(_SPECIAL), min_size=n, max_size=n))
+        unit = [draw(_value)]
+    elif kind == "cycle":
+        unit = draw(st.lists(_value, min_size=2, max_size=40))
+    elif kind == "distinct":
+        unit = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60, unique=True))
+    else:
+        unit = draw(st.lists(st.sampled_from(_SPECIAL), min_size=1, max_size=60))
+    count = draw(st.one_of(st.integers(1, 200), st.just(len(unit))))
+    return SweepCell(array("d", unit), count)
 
 
 @settings(deadline=None, max_examples=300)
-@given(cells=st.lists(st.one_of(st.none(), _tail()), min_size=2, max_size=12),
+@given(cells=st.lists(st.one_of(st.none(), _cell()), min_size=2, max_size=12),
        per_alpha=st.sampled_from([1, 2]))
 def test_bifurcation_rows_equal_plain_repr(cells, per_alpha):
     cells = cells[: len(cells) // per_alpha * per_alpha]
     alphas = tuple(0.1 * i for i in range(len(cells) // per_alpha))
-    res = SweepResult(alphas, cells, sum(xs is None for xs in cells))
+    res = SweepResult(alphas, cells, sum(cell is None for cell in cells))
     # the plain per-value rendering: one chunk per alpha with a row
     plain = [
-        "".join(f"{alpha!r},{x!r}\n" for xs in cells[i * per_alpha : (i + 1) * per_alpha]
-                for x in xs or ())
+        "".join(f"{alpha!r},{x!r}\n" for cell in cells[i * per_alpha : (i + 1) * per_alpha]
+                for x in _values(cell))
         for i, alpha in enumerate(alphas)
     ]
     assert list(cli._bifurcation_rows(res)) == [chunk for chunk in plain if chunk]

@@ -2,6 +2,7 @@
 
 import math
 import re
+from array import array
 
 import pytest
 
@@ -25,6 +26,7 @@ from chaosctl import (
     RngState,
     SimConfig,
     Stochastic,
+    SweepCell,
     SweepResult,
     Trajectory,
 )
@@ -46,7 +48,8 @@ RECORDS = [
     MonteCarloReport(4, 2, 0.5, 0.1, 0.9),
     PointSet((Point2(0.0, 0.0),)),
     BoxSampler(0.0, 1.0, 0.0, 1.0),
-    SweepResult((0.1, 0.2), [None, [0.3]], 1),
+    SweepCell(array("d", [0.3]), 200),
+    SweepResult((0.1, 0.2), [None, SweepCell(array("d", [0.3]), 200)], 1),
     NuModel(1.0, 0.1, 0.2, NoiseDist.BERNOULLI_PM1, NoiseDist.UNIFORM_M1P1, True),
     CheckRow("x", True, "ok"),
 ]

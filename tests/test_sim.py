@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import io
 import math
+import tracemalloc
 
 import pytest
 import scipy.stats
@@ -256,6 +257,12 @@ _CYCLE_CASES = {
     "period-2": (henon(), PLUS, (0.35, 0.0), Point2(0.1, 0.1)),
     "period-4": (henon(), PLUS, (0.2, 0.0), Point2(0.1, 0.1)),
     "period-4-lozi": (lozi(), PLUS, (0.2, 0.5), Point2(0.1, 0.1)),
+    # a bitwise cycle longer than PERIOD_MAX, which the classifier, within
+    # PERIOD_TOL, reads as period 8
+    "period-32": (henon(), PLUS, (0.174, 0.0), Point2(0.1, 0.1)),
+    # a bitwise 2-cycle within CONV_TOL of the target: the replay counts the
+    # window on and converges at step 75, on the cycle's second state
+    "period-2-in-tol": (henon(), PLUS, (0.777, 0.5), Point2(-0.64, 0.61)),
     # starts on a bitwise fixed point inside CONV_TOL: the cycle is found at
     # step 1, and the replay must count the window to Converged(50)
     "converged-in-window": (
@@ -328,6 +335,11 @@ def test_cycle_cases_cover():
         points, _, outcome, n = runs[name]
         assert outcome == Periodic(period)
         assert _first_repeat_period(points) == period
+    points, _, outcome, n = runs["period-32"]
+    assert outcome == Periodic(8) and _first_repeat_period(points) == 32 > sim.PERIOD_MAX
+    points, _, outcome, n = runs["period-2-in-tol"]
+    assert outcome == Converged(75) and _first_repeat_period(points) == 2
+    assert repr(points[-1]) != repr(points[-2])
     points, _, outcome, n = runs["converged-in-window"]
     assert points[1] == points[0] and outcome == Converged(CONV_WINDOW)
     points, _, outcome, n = runs["signed-zero"]
@@ -711,14 +723,19 @@ def test_near_target_period_one_is_converged(henon_std):
 
 # --- bifurcation sweeps ---------------------------------------------------------
 
+def _values(cell):
+    """A sweep cell's tail x values: its unit repeated and cut to its count."""
+    return None if cell is None else [cell.unit[k % len(cell.unit)] for k in range(cell.count)]
+
+
 def _collapse_from_cells(res, n_inits):
     """Reference collapse point of a full sweep: the lowest alpha of the run of
     alphas at the top of the grid whose cells that did not escape keep the
     x-spread of their last COLLAPSE_WINDOW tail points below COLLAPSE_TOL."""
     collapsed = []
     for i in range(len(res.alphas)):
-        tails = [x for xs in res.cells[i * n_inits:(i + 1) * n_inits] if xs
-                 for x in xs[-sim.COLLAPSE_WINDOW:]]
+        tails = [x for cell in res.cells[i * n_inits:(i + 1) * n_inits] if cell
+                 for x in _values(cell)[-sim.COLLAPSE_WINDOW:]]
         collapsed.append(bool(tails) and max(tails) - min(tails) < sim.COLLAPSE_TOL)
     want = None
     i = len(collapsed)
@@ -737,7 +754,7 @@ def test_bifurcation_collapse_narrow(henon_std):
     assert got == _collapse_from_cells(res, 8)
     assert res.escaped_cells == 0
     assert len(res.cells) == 60 * 8
-    assert all(len(xs) == cfg.record_tail for xs in res.cells)
+    assert all(len(_values(cell)) == cfg.record_tail for cell in res.cells)
 
 
 @pytest.mark.parametrize("case", verify.COLLAPSE_CASES, ids=lambda c: c[0])
@@ -764,7 +781,8 @@ def test_bifurcation_threads_bit_identical(henon_std):
     args = (henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, default_init_grid(5), cfg)
     serial = bifurcation_sweep(*args, ell1=0.1, threads=1)
     parallel = bifurcation_sweep(*args, ell1=0.1, threads=4)
-    assert serial.cells == parallel.cells
+    # the same units and counts, signs of zero included
+    assert repr(serial.cells) == repr(parallel.cells)
     want = _collapse_from_cells(serial, 5)
     assert serial.alphas[0] < want
     assert collapse_alpha(*args, ell1=0.1, threads=4) == want
@@ -829,11 +847,115 @@ def test_sweep_cells_match_spread_collapse_and_csv(kind, a, lo, width, n_alpha, 
                   default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)))
     res = bifurcation_sweep(*sweep_args, ell1=ell1)
     assert len(res.cells) == n_alpha * n_inits
-    assert res.escaped_cells == sum(xs is None for xs in res.cells)
+    assert res.escaped_cells == sum(cell is None for cell in res.cells)
     assert collapse_alpha(*sweep_args, ell1=ell1) == _collapse_from_cells(res, n_inits)
     rows = cli.render(argv).splitlines()[3:]
     assert rows == [f"{res.alphas[k // n_inits]!r},{x!r}"
-                    for k, xs in enumerate(res.cells) for x in xs or ()]
+                    for k, cell in enumerate(res.cells) for x in _values(cell) or ()]
+
+
+#: Bytes a finished sweep may retain per cell.  A cell keeps its unit of
+#: doubles and two small records: about 1.74 KB for a noisy 200-value tail
+#: and 0.15 KB for a converged one.  A list of 200 float references alone
+#: takes 1.66 KB, so a sweep that keeps its tails as lists exceeds this.
+_CELL_BYTES = 1536
+
+
+def test_sweep_retains_units_of_doubles(henon_std):
+    # fig8b's sweep (Bernoulli noise on channel 1, 0.8 y-control), cut to
+    # 10 alphas x 10 initial states
+    args = (henon_std, PLUS, ControlChannel(0.8), 0.3, 0.6, 10, default_init_grid(10),
+            SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0))
+    bifurcation_sweep(*args, ell1=0.2861)  # compiles the kernels and fills the caches
+    tracemalloc.start()
+    try:
+        res = bifurcation_sweep(*args, ell1=0.2861)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    units = [len(cell.unit) for cell in res.cells if cell is not None]
+    assert 1 in units and 200 in units  # converged and noisy cells both
+    assert retained / len(res.cells) <= _CELL_BYTES
+
+
+#: Length of a sweep cell's unit for each named run: one value for a
+#: converged cell, one turn for a cycle the replay filled the whole tail
+#: with, the whole tail when the cycle exit came after the tail began.
+_UNIT_LENGTHS = {
+    "cycle-before-window": 2,
+    "cycle-inside-window": 200,
+    "converged-in-replay": 1,
+    "short-tail-in-replay": 1,
+    "cycle-near-end": 133,
+}
+#: Named cycles as sweep cells: name -> (case, steps, unit length).
+_CELL_CASES = {
+    "period-1": ("signed-zero", 700, 1),
+    "period-4-lozi": ("period-4-lozi", 700, 4),
+    "period-32": ("period-32", 700, 32),
+    # the cycle exit comes after the tail began, and the run converges in
+    # the replay: the final state is the last of the replayed states
+    "period-2-converged-in-replay": ("period-2-in-tol", 200, 1),
+}
+
+
+def _named_cell_run(name):
+    if name in _TAIL_CASES:
+        return _tail_case(name)[:4]
+    case, steps, _ = _CELL_CASES[name]
+    params, branch, (d1, d2), init = _CYCLE_CASES[case]
+    return params, branch, Constant(d1, d2), SimConfig(initial=init, steps=steps)
+
+
+def _unit_matches_cell_tail(params, branch, schedule, cfg):
+    """The sweep cell of a run, checked against `_cell_tail`, the expanded record."""
+    star = fixed_point(params, branch)
+    tail = _cell_tail(params, star, schedule, cfg, cfg.initial, 0)
+    cell = sim._cell_unit(params, star, schedule, cfg, cfg.initial, 0)
+    if tail is None:
+        assert cell is None
+        return None
+    assert cell.count == cfg.record_tail == len(tail)
+    assert repr(_values(cell)) == repr([x for x, _ in tail])
+    return cell
+
+
+@pytest.mark.parametrize("name", [*_TAIL_CASES, *_CELL_CASES])
+def test_sweep_unit_of_named_runs(name):
+    cell = _unit_matches_cell_tail(*_named_cell_run(name))
+    want = _UNIT_LENGTHS[name] if name in _TAIL_CASES else _CELL_CASES[name][2]
+    assert len(cell.unit) == want
+
+
+@st.composite
+def _cell_runs(draw):
+    """One sweep cell's run: a named cycle, or either map under a constant,
+    Bernoulli or uniform schedule."""
+    kind = draw(st.sampled_from(["cycle", "constant", "bernoulli", "uniform"]))
+    if kind == "cycle":
+        params, branch, (d1, d2), init = _CYCLE_CASES[draw(st.sampled_from(sorted(_CYCLE_CASES)))]
+        schedule = Constant(d1, d2)
+    else:
+        params, branch = draw(st.sampled_from([henon(), lozi()])), PLUS
+        init = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        ch2 = ControlChannel(draw(st.sampled_from([0.0, 0.5, 0.9])))
+        if kind == "constant":
+            schedule = Stochastic(ControlChannel(draw(_unit)), ch2)
+        else:
+            dist = NoiseDist.BERNOULLI_PM1 if kind == "bernoulli" else NoiseDist.UNIFORM_M1P1
+            schedule = Stochastic(ControlChannel(draw(_unit), draw(st.floats(0.01, 0.6)), dist),
+                                  ch2)
+    cfg = SimConfig(initial=init, steps=draw(st.integers(1, 800)),
+                    seed=draw(st.integers(0, 2**64 - 1)))
+    return params, branch, schedule, cfg
+
+
+@settings(deadline=None, max_examples=200)
+@given(run=_cell_runs())
+def test_sweep_unit_expands_to_the_cell_tail(run):
+    cell = _unit_matches_cell_tail(*run)
+    # the unit is one value, one turn of a cycle, or the whole tail
+    assert cell is None or len(cell.unit) <= cell.count
 
 
 def test_bifurcation_input_validation(henon_std):
