@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
     p.add_argument("--norm", choices=list(_NORMS), default=None,
                    help="norm-bound threshold instead of the local one")
-    p.add_argument("--radius", type=float, default=0.0)
+    p.add_argument("--radius", type=float, default=None,
+                   help="radius of the ball the norm bound holds on (default 0; needs --norm)")
     _add_common_flags(p)
 
     p = sub.add_parser("explog", help="expected log of the contraction factor")
@@ -397,7 +398,7 @@ def _cmd_threshold(args) -> tuple[Iterable[str], int]:
         v = local_threshold(_params(args), _branch(args), args.alpha2)
     else:
         v = norm_threshold(
-            _params(args), _branch(args), args.radius, args.alpha2, _NORMS[args.norm]
+            _params(args), _branch(args), args.radius or 0.0, args.alpha2, _NORMS[args.norm]
         )
     # a threshold is below 1, so where 5 digits round it to 1 print it whole
     text = f"{v:.5g}"
@@ -469,7 +470,14 @@ _HANDLERS = {
 }
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+def _write_out(path: str, chunks: Iterable[str]) -> None:
+    """Write chunks to path: in place where path is a device, a FIFO or any
+    other node that is not a regular file, since a rename would replace the
+    node itself; else to a temp file beside it, renamed onto it when whole."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        return
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -494,13 +502,15 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv; `repro` is replaced by its preset, parsed with the same parser."""
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command != "repro":
-        return args
-    preset = list(PRESETS[args.preset])
-    for flag in ("seed", "out", "threads"):
-        if getattr(args, flag) is not None:
-            preset.append(f"--{flag}={getattr(args, flag)}")
-    return parser.parse_args(preset)
+    if args.command == "repro":
+        preset = list(PRESETS[args.preset])
+        for flag in ("seed", "out", "threads"):
+            if getattr(args, flag) is not None:
+                preset.append(f"--{flag}={getattr(args, flag)}")
+        args = parser.parse_args(preset)
+    if args.command == "threshold" and args.radius is not None and args.norm is None:
+        parser.error("argument --radius: the local threshold has no radius; add --norm")
+    return args
 
 
 def render(argv: list[str]) -> str:
@@ -523,7 +533,7 @@ def run_command(argv: list[str]) -> int:
         return 1
     if args.out:
         try:
-            _write_atomic(args.out, chunks)
+            _write_out(args.out, chunks)
         except OSError as e:
             print(f"chaosctl: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
             return 1

@@ -373,11 +373,12 @@ class ControlChannel(
 ):
     """One diagonal control channel: realized intensity d = alpha + ell*chi.
 
-    When ell < min(alpha, 1 - alpha) every realized d stays inside (0, 1)
-    (see `admissible`).  Larger amplitudes are accepted -- the controlled map
-    extends continuously to d outside [0, 1) and such over-driven channels
-    are exercised deliberately in the stochastic experiments -- but they void
-    the worst-case contraction guarantees.
+    When ell < min(alpha, 1 - alpha) every realized d stays inside (0, 1):
+    that is `stability.bounded_noise_safe(alpha, ell, 0.0)`, the one
+    statement of the worst-case noise rule.  Larger amplitudes are accepted
+    -- the controlled map extends continuously to d outside [0, 1) and such
+    over-driven channels are exercised deliberately in the stochastic
+    experiments -- but they void the worst-case contraction guarantees.
     """
 
     __slots__ = ()
@@ -403,11 +404,6 @@ class ControlChannel(
         """
         lo, hi = self.alpha + self.ell * -1.0, self.alpha + self.ell * 1.0
         return lo if _same(lo, hi) else None
-
-    @property
-    def admissible(self) -> bool:
-        """True when every realized intensity is guaranteed inside (0, 1)."""
-        return 0.0 < self.alpha < 1.0 and self.ell < min(self.alpha, 1.0 - self.alpha)
 
 
 class Stochastic(NamedTuple):

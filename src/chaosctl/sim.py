@@ -231,19 +231,20 @@ InitSampler = Union[PointSet, BoxSampler]
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Two-sided 95% Wilson score interval for a binomial proportion."""
+    """Two-sided 95% Wilson score interval for a binomial proportion.
+
+    With k successes in n trials, the bounds are (t -/+ z w) / (n + z^2),
+    t = k + z^2/2 and w = sqrt(k (n - k) / n + z^2/4).  The lower one is
+    taken as k^2 / (n (t + z w)), its difference of squares worked out, so
+    that neither bound cancels: they are exactly 0 at k = 0 and 1 at k = n.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = _WILSON_Z
-    phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
-        / denom
+    z2 = _WILSON_Z * _WILSON_Z
+    top = successes + (
+        z2 / 2.0 + _WILSON_Z * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    return successes * successes / (trials * top), top / (trials + z2)
 
 
 def _classify_points(pts: list[tuple[float, float]], steps_run: int, target: Point2) -> Outcome:

@@ -2,8 +2,8 @@
 
 Deterministic side: the trace-determinant criterion gives the local critical
 control intensity in closed form; norm-based bounds give the intensity that
-certifies contraction of the controlled Lipschitz matrix in a chosen norm
-(closed form for the l-inf and l1 norms, bisection for the spectral norm).
+certifies contraction of the controlled Lipschitz matrix in a chosen norm,
+in closed form for the l-inf, l1 and spectral norms.
 
 Stochastic side: with controls d_i = alpha_i + ell_i * chi_i the per-step
 contraction factor in the l-inf or l1 norm reduces to an affine expression
@@ -25,11 +25,11 @@ from operator import add, mul, truediv
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .control import ControlChannel, NoiseDist, step_values, stream_for_trial
-from .linalg2 import Matrix2, NormKind, induced_norm
+from .linalg2 import Matrix2, NormKind
 from .maps import Branch, DomainError, MapKind, MapParams, fixed_point, lipschitz_matrix
 
-#: Absolute bisection tolerances, well below every quoted reference digit.
-ALPHA_BISECTION_TOL = 1e-9
+#: Absolute tolerance of the noise-amplitude bisection in
+#: `min_noise_for_stability`, below every quoted reference digit.
 ELL_BISECTION_TOL = 1e-6
 #: Absolute tolerance of the E ln nu quadrature.
 QUAD_TOL = 1e-10
@@ -167,56 +167,43 @@ def _henon_excess(params: MapParams, branch: Branch, beta: float) -> float:
 
 
 def norm_threshold(
-    params: MapParams,
-    branch: Branch,
-    R: float,
-    beta: float,
-    norm: NormKind,
-    nu_star: float = 1.0,
+    params: MapParams, branch: Branch, R: float, beta: float, norm: NormKind
 ) -> float:
-    """Infimum alpha* with ||(I-U) A||_norm < nu_star for all alpha > alpha*.
+    """Infimum alpha* with ||(I-U) A||_norm < 1 for all alpha > alpha*.
 
     A is the local Lipschitz matrix on the radius-R ball and U is
-    diag(alpha, beta).  The default nu_star = 1 gives the bare contraction
-    threshold; fixing nu_star < 1 yields the intensity certifying that
-    geometric convergence rate.  LINF and L1 are solved in closed form, the
-    spectral norm by bisection to ALPHA_BISECTION_TOL.
+    diag(alpha, beta), so (I-U) A = [[u K1, u], [r, 0]] with u = 1 - alpha
+    and r = (1 - beta) b.  Each norm has a closed form:
+
+        LINF:      alpha* = 1 - 1 / (K1 + 1)
+        L1:        alpha* = max(0, 1 - (1 - r) / K1)
+        spectral:  alpha* = 1 - s / h,  s^2 = 1 - r^2,  h^2 = K1^2 + s^2
+
+    A 2x2 matrix has sigma_max < 1 iff 1 - ||M||_F^2 + det^2 > 0 and
+    ||M||_F^2 < 2.  Here the first reads u^2 h^2 < s^2 and implies the
+    second.  The spectral alpha* is taken as K1^2 / (h^2 + s h), where no
+    term cancels.
 
     Raises Unstabilizable when no alpha in [0, 1) achieves the bound (the
     second row / column, which alpha cannot reduce, is already too large),
-    or when alpha* rounds to 1 (the spectral bisection then finds no alpha
-    below 1 that achieves it).
+    or when alpha* rounds to 1.
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if not 0.0 < nu_star <= 1.0:
-        raise DomainError(f"nu_star must lie in (0, 1], got {nu_star}")
-    a = lipschitz_matrix(params, branch, R)
-    k1 = a.a11
+    k1 = lipschitz_matrix(params, branch, R).a11
     row2 = (1.0 - beta) * params.b
-    if row2 >= nu_star:
-        raise Unstabilizable(
-            f"uncontrollable part (1-beta)*b = {row2} is not below {nu_star}"
-        )
+    if row2 >= 1.0:
+        raise Unstabilizable(f"uncontrollable part (1-beta)*b = {row2} is not below 1.0")
     if norm is NormKind.LINF:
-        return _below_one(max(0.0, 1.0 - nu_star / (k1 + 1.0)))
+        return _below_one(max(0.0, 1.0 - 1.0 / (k1 + 1.0)))
     if norm is NormKind.L1:
         # Column sums: k1*(1-alpha) + (1-beta)*b and (1-alpha).
-        return _below_one(max(0.0, 1.0 - (nu_star - row2) / k1, 1.0 - nu_star))
-
-    def norm_at(alpha: float) -> float:
-        return induced_norm(controlled_lipschitz(params, branch, R, alpha, beta), norm)
-
-    if norm_at(0.0) < nu_star:
-        return 0.0
-    lo, hi = 0.0, 1.0  # norm_at is decreasing in alpha; limit at 1 is row2 < nu_star
-    while hi - lo > ALPHA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) < nu_star:
-            hi = mid
-        else:
-            lo = mid
-    return _below_one(hi)
+        return _below_one(max(0.0, 1.0 - (1.0 - row2) / k1))
+    s2 = (1.0 - row2) * (1.0 + row2)
+    k2 = k1 * k1
+    if k2 == math.inf:  # far past K1 > 2^54, where alpha* already rounds to 1
+        return _below_one(1.0)
+    return _below_one(k2 / (k2 + (s2 + math.sqrt(s2 * (k2 + s2)))))
 
 
 def bounded_noise_safe(alpha: float, ell: float, alpha_star: float) -> bool:

@@ -5,9 +5,11 @@ import io
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from array import array
 
 import pytest
@@ -62,7 +64,7 @@ def _readme_outputs():
 
 def test_readme_outputs(capsys):
     cases = _readme_outputs()
-    assert [argv[0] for argv, _ in cases] == ["threshold", "explog", "minnoise"]
+    assert [argv[0] for argv, _ in cases] == ["threshold", "threshold", "explog", "minnoise"]
     for argv, output in cases:
         assert run_cli(argv, capsys)[:2] == (0, output + "\n")
 
@@ -184,7 +186,8 @@ def test_threshold_that_rounds_to_1_exits_1(norm, capsys):
     ([], "0.9999994999999"),
     (["--norm", "linf"], "0.999999500000075"),
     (["--norm", "l1"], "0.9999996499998774"),
-], ids=["local", "linf", "l1"])
+    (["--norm", "spectral"], "0.9999995230302323"),
+], ids=["local", "linf", "l1", "spectral"])
 def test_threshold_close_to_1_prints_its_digits(norm, shown, capsys):
     # five significant digits would print 1
     rc, out, _ = run_cli(["threshold", "--map", "henon", "--a", "1e12"] + norm, capsys)
@@ -239,6 +242,44 @@ def test_out_file_atomic_and_equal_to_stdout(tmp_path, capsys):
     assert rc == 0
     assert path.read_text() == out
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".chaosctl-")]
+
+
+def test_threshold_radius_without_norm_is_usage_error(capsys):
+    # the local threshold has no radius, so a radius it ignored would mislead
+    rc, out, err = run_cli(["threshold", "--map", "henon", "--radius", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: chaosctl ")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        "chaosctl: error: argument --radius: the local threshold has no radius; add --norm"
+    ]
+    assert run_cli(["threshold", "--map", "henon", "--norm", "l1"], capsys)[:2] == (
+        run_cli(["threshold", "--map", "henon", "--norm", "l1", "--radius", "0"], capsys)[:2]
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_onto_a_fifo_writes_through_it(tmp_path, capsys):
+    # a rename onto PATH would replace the node, as it would /dev/null; the
+    # reader is a daemon joined with a timeout, so a replaced FIFO fails the
+    # test rather than hanging it
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    rc, out, _ = run_cli(["threshold", "--map", "henon", "--out", str(fifo)], capsys)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (rc, out) == (0, "")
+    assert got == ["alpha_star,0.51639\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_out_into_missing_directory_exit_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from chaosctl import (
     Point2,
     RngState,
     Stochastic,
+    bounded_noise_safe,
     control_pairs,
     fixed_point,
     henon,
@@ -148,9 +149,9 @@ def test_channel_validation():
         ControlChannel(-0.1, 0.0)
     with pytest.raises(InvalidControl):
         ControlChannel(0.5, -0.2)
-    assert ControlChannel(0.5, 0.3).admissible
-    assert not ControlChannel(0.9, 0.55).admissible  # over-driven but accepted
-    assert not ControlChannel(0.0, 0.0).admissible
+    for alpha, ell, safe in [(0.5, 0.3, True), (0.9, 0.55, False), (0.0, 0.0, False)]:
+        ch = ControlChannel(alpha, ell)  # an over-driven channel is accepted too
+        assert bounded_noise_safe(ch.alpha, ch.ell, 0.0) is safe
 
 
 def test_schedule_validation():
@@ -224,7 +225,7 @@ def test_admissible_channels_keep_controls_inside_unit_interval():
     sch = Stochastic(
         ControlChannel(0.44, 0.3), ControlChannel(0.3, 0.2, NoiseDist.UNIFORM_M1P1)
     )
-    assert sch.ch1.admissible and sch.ch2.admissible
+    assert all(bounded_noise_safe(ch.alpha, ch.ell, 0.0) for ch in sch)
     rng = stream_for_trial(0, 0)
     for _ in range(5000):
         rng, d1, d2 = control_at_step(sch, rng)

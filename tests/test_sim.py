@@ -1031,14 +1031,26 @@ def test_limit_set_is_one_run_from_the_config_start(henon_std):
 
 # --- Monte Carlo convergence ----------------------------------------------------
 
-def test_wilson_interval_against_scipy():
-    for k, n in [(0, 200), (7, 200), (100, 200), (200, 200), (1, 13)]:
-        lo, hi = wilson_interval(k, n)
-        want = scipy.stats.binomtest(k, n).proportion_ci(
-            confidence_level=0.95, method="wilson"
-        )
-        assert lo == pytest.approx(want.low, abs=1e-12)
-        assert hi == pytest.approx(want.high, abs=1e-12)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2000), share=st.floats(0.0, 1.0))
+@example(n=200, share=0.0)
+@example(n=200, share=0.035)
+@example(n=200, share=0.5)
+@example(n=200, share=1.0)
+@example(n=13, share=1 / 13)
+def test_wilson_interval_against_scipy(n, share):
+    k = round(share * n)
+    lo, hi = wilson_interval(k, n)
+    want = scipy.stats.binomtest(k, n).proportion_ci(confidence_level=0.95, method="wilson")
+    assert lo == pytest.approx(want.low, abs=1e-12)
+    assert hi == pytest.approx(want.high, abs=1e-12)
+
+
+def test_wilson_interval_is_exact_at_0_and_n_successes():
+    # center -/+ half-width cancelled to 5.55e-17 and 0.9999999999999999 here
+    for n in range(1, 2001):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
 
 
 def test_mc_report_invariants(henon_std):

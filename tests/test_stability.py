@@ -23,6 +23,7 @@ from chaosctl import (
     fixed_point,
     henon,
     induced_norm,
+    lipschitz_matrix,
     lln_average,
     local_threshold,
     lozi,
@@ -30,6 +31,7 @@ from chaosctl import (
     norm_threshold,
     trace_det_stable,
 )
+from chaosctl import verify
 from chaosctl.stability import mc_log_nu
 
 BERN = NoiseDist.BERNOULLI_PM1
@@ -205,13 +207,57 @@ def test_norm_threshold_monotone():
         assert all(x <= y + 1e-12 for x, y in zip(vals_r, vals_r[1:]))
 
 
-def test_norm_threshold_with_rate_argument():
-    # fixing nu* < 1 asks for a faster certified rate, hence more control
-    loose = norm_threshold(lozi(), PLUS, 0.05, 0.0, NormKind.LINF)
-    tight = norm_threshold(lozi(), PLUS, 0.05, 0.0, NormKind.LINF, nu_star=0.5)
-    assert tight > loose
-    m = controlled_lipschitz(lozi(), PLUS, 0.05, tight + 1e-6, 0.0)
-    assert induced_norm(m, NormKind.LINF) < 0.5 + 1e-6
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["henon", "lozi"]),
+    log_a=st.floats(-6.0, 2.0),
+    b=st.floats(0.01, 1.5),
+    branch=st.sampled_from(list(Branch)),
+    radius_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+)
+def test_spectral_threshold_within_4_ulps_and_separates(
+    kind, log_a, b, branch, radius_share, beta
+):
+    # alpha* = 1 - s / h with s^2 = 1 - r^2 and h^2 = K1^2 + s^2, against a
+    # 60-digit reference from the doubles K1 and r that the function reads
+    params = (henon if kind == "henon" else lozi)(10.0 ** log_a, b)
+    try:
+        R = radius_share * abs(fixed_point(params, branch).x)
+        got = norm_threshold(params, branch, R, beta, NormKind.L2SPECTRAL)
+    except (DomainError, Unstabilizable):
+        assume(False)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        k1 = D(lipschitz_matrix(params, branch, R).a11)
+        r = D((1.0 - beta) * params.b)
+        s2 = (1 - r) * (1 + r)
+        exact = 1 - (s2 / (k1 * k1 + s2)).sqrt()
+        assert _ulps_from_exact(got, exact) <= 4
+    step = 1e-7 * (1.0 - got)
+    above = controlled_lipschitz(params, branch, R, got + step, beta)
+    assert induced_norm(above, NormKind.L2SPECTRAL) < 1.0
+    if got > step:
+        below = controlled_lipschitz(params, branch, R, got - step, beta)
+        assert induced_norm(below, NormKind.L2SPECTRAL) >= 1.0
+
+
+def test_linf_l1_thresholds_of_the_verify_table_keep_their_bits():
+    got = [
+        repr(norm_threshold(p, PLUS, R, beta, norm))
+        for p, R, beta, norm, _ in verify.NORM_CASES
+        if norm is not NormKind.L2SPECTRAL
+    ]
+    assert got == [
+        "0.6405195617169843",
+        "0.6943571485531199",
+        "0.607137202611624",
+        "0.4556044093332504",
+        "0.5833333333333333",
+        "0.5",
+        "0.30714285714285716",
+    ]
 
 
 def test_unstabilizable_when_second_row_too_large():
@@ -229,6 +275,14 @@ def test_threshold_that_rounds_to_1_is_unstabilizable(norm):
             local_threshold(henon(1e200), PLUS, 0.0)
         else:
             norm_threshold(henon(1e200), PLUS, 0.0, 0.0, norm)
+
+
+def test_spectral_threshold_where_k1_squared_overflows():
+    # K1 = a = 1e300 overflows K1^2, far past where alpha* rounds to 1;
+    # K1 = 2.9e-300 underflows it, where alpha* is below the smallest double
+    with pytest.raises(Unstabilizable):
+        norm_threshold(lozi(1e300), PLUS, 0.0, 0.0, NormKind.L2SPECTRAL)
+    assert norm_threshold(henon(1e-300), PLUS, 0.0, 0.0, NormKind.L2SPECTRAL) == 0.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
