@@ -5,8 +5,7 @@ Library layout:
 - maps:      map stepping, equilibria, local Lipschitz matrices
 - linalg2:   2x2 induced norms and the trace-determinant stability test
 - control:   the control schedule, the seeded noise source, the controlled step
-- stability: deterministic thresholds, expected-log-contraction analysis and
-             its law-of-large-numbers diagnostics
+- stability: deterministic thresholds and expected-log-contraction analysis
 - sim:       trajectory engine, sweeps, limit sets, Monte Carlo experiments
 - verify:    the acceptance table; `chaosctl verify` imports it, and
              importing the package does not
@@ -38,8 +37,6 @@ from .control import (
     Stochastic,
     control_pairs,
     next_rand,
-    noise_pairs,
-    scramble,
     stream_for_trial,
     vmtoc_step,
 )
@@ -52,7 +49,6 @@ from .stability import (
     controlled_jacobian,
     controlled_lipschitz,
     expected_log_nu,
-    lln_average,
     local_threshold,
     min_noise_for_stability,
     norm_threshold,

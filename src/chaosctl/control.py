@@ -27,24 +27,25 @@ Monte Carlo work uses one independent stream per trial:
 where scramble(v) is the output of a single SplitMix64 step applied to v.
 RNG state is a value passed explicitly; there is no shared mutable state.
 
-That contract is all a consumer sees.  `noise_pairs`, the sampler of
-(chi_1, chi_2), `control_pairs`, the realized control pairs of a schedule
-or, for the trajectory engine, their step coefficients (d1 * tx, 1 - d1,
-d2 * ty, 1 - d2), and `step_values`, which both read, take two draws per
-step and generate them word-parallel in `_noise_chunks`: a chunk of them
-is one int with a 128-bit lane per draw, and each step of the recurrence
-above runs once on the whole chunk.  Only draws whose value can be read are
-computed.  A channel whose realized values at chi = -1 and +1 are one
-double is constant and never drawn; when neither channel is drawn the
-stream is one repeated value.  When the drawn channels are Bernoulli, a
-step's value is one of four, and a whole chunk of them is gathered in C by
-one `operator.itemgetter` call over the two sign bits of each step, folded
-into one byte.  A consumer that knows how many steps it reads passes
-`steps`, and no pair past the run's last step is drawn: chunk sizes double
-from 32 up to 1024 pairs, but each is at most the least 32 * 2^k that
-covers the steps left.  The one-word-at-a-time `_sm64_next` (with
-`next_rand`, `sample_noise` and `control_at_step`) is the scalar reference
-the tests hold them to.
+That contract is all a consumer sees.  One stream, `control_pairs`, reads
+it for every consumer: the realized control pairs of a schedule, a value
+of each pair, or, for the trajectory engine, the pairs' step coefficients
+(d1 * tx, 1 - d1, d2 * ty, 1 - d2).  A Monte Carlo sampler of
+(chi_1, chi_2) reads it over unit channels, d_i = chi_i.  It takes two
+draws per step, channel 1 first, and generates them word-parallel in
+`_noise_chunks`: a chunk of them is one int with a 128-bit lane per draw,
+and each step of the recurrence above runs once on the whole chunk.  Only
+draws whose value can be read are computed.  A channel whose realized
+values at chi = -1 and +1 are one double is constant and never drawn;
+when neither channel is drawn the stream is one repeated value.  When the
+drawn channels are Bernoulli, a step's value is one of four, and a whole
+chunk of them is gathered in C by one `operator.itemgetter` call over the
+two sign bits of each step, folded into one byte.  A consumer that knows
+how many steps it reads passes `steps`, and no pair past the run's last
+step is drawn: chunk sizes double from 32 up to 1024 pairs, but each is at
+most the least 32 * 2^k that covers the steps left.  The
+one-word-at-a-time `_sm64_next` (with `next_rand`, `sample_noise` and
+`control_at_step`) is the scalar reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -132,42 +133,6 @@ def sample_noise(dist: NoiseDist, z: int) -> float:
     return uniform_m1p1(z)
 
 
-def noise_pairs(s: int, dist1: NoiseDist, dist2: NoiseDist) -> Iterator[tuple[float, float]]:
-    """Endless (chi_1, chi_2) samples from the raw SplitMix64 state s.
-
-    This is the draw discipline of every stochastic consumer: two draws per
-    step or sample, channel 1 first.  The draws are computed a chunk at a time
-    by `_noise_chunks` and the pairs come out of C-level iterators, so a
-    per-step consumer pays no generator resumption and no calls.  Every value
-    equals the one `control_at_step` derives from `_sm64_next`, `bernoulli_pm1`
-    and `uniform_m1p1`, the scalar reference.
-    """
-    return step_values(s, _UNIT[dist1], _UNIT[dist2])
-
-
-def step_values(
-    s: int,
-    ch1: ControlChannel,
-    ch2: ControlChannel,
-    value: Optional[Callable[[float, float], object]] = None,
-    target: Optional[Point2] = None,
-    steps: Optional[int] = None,
-) -> Iterator:
-    """Values of steps 0, 1, 2, ... of two channels drawn from state s.
-
-    Step k realizes d_i = alpha_i + ell_i * chi_i from draws 2 k and 2 k + 1
-    and yields value(d1, d2), or the pair (d1, d2) when value is None.  When
-    the drawn channels are Bernoulli, value is called only to build a table
-    of the four possible steps, so it must depend on its arguments alone.
-    With a target (tx, ty), value is not read and step k yields the
-    engine's coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) instead,
-    with no Python call per step.  The stream is endless, unless `steps`
-    says how many values the caller reads: then it ends with the chunk that
-    holds step steps - 1 (see `_chunk_sizes`), and no later pair is drawn.
-    """
-    return chain.from_iterable(_noise_chunks(s, ch1, ch2, value, target, steps))
-
-
 def _coefficients(d1: float, d2: float, target: Point2) -> tuple[float, float, float, float]:
     """(d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) for the target (tx, ty).
 
@@ -248,7 +213,7 @@ def _noise_chunks(
     target: Optional[Point2],
     steps: Optional[int],
 ) -> Iterator[Iterable]:
-    """Successive chunks of step values, as `step_values` describes them.
+    """Successive chunks of step values, as `control_pairs` describes them.
 
     SplitMix64's state is a Weyl sequence, so draw m of a chunk that starts
     from state s has state s + (m + 1) * GOLDEN: a whole chunk is one int
@@ -268,7 +233,8 @@ def _noise_chunks(
     when both terms are, which with alpha = -0.0 makes the ends differ.
     This is the whole draw rule: channel i is drawn exactly when it is not
     constant, and with neither drawn the stream is `repeat` of the held pair
-    or of its value, and no table is built.
+    or of its value, `steps` times when steps is given, and no table is
+    built.
 
     When every channel that is not constant is Bernoulli, a step's pair
     (d1, d2) depends only on the two sign bits b_i (bit 63 of draw i, chi_i =
@@ -301,13 +267,14 @@ def _noise_chunks(
     gives `repeat` of its two coefficients.
     """
     channels = (ch1, ch2)
-    held = tuple(ch.constant_value for ch in channels)
+    held = (ch1.constant_value, ch2.constant_value)
     drawn = [h is None for h in held]
     if target is not None:
         value = partial(_coefficients, target=target)
         goals = (target.x, target.y)
     if not any(drawn):
-        yield repeat(held if value is None else value(*held))
+        one = held if value is None else value(*held)
+        yield repeat(one) if steps is None else repeat(one, steps)
         return
 
     def at(chi1: float, chi2: float) -> tuple[float, float]:
@@ -421,25 +388,31 @@ def Constant(d1: float, d2: float = 0.0) -> Stochastic:
     return Stochastic(ControlChannel(d1), ControlChannel(d2))
 
 
-# Unit channels: d = chi, so `noise_pairs` is `_noise_chunks` read raw.
-_UNIT = {dist: ControlChannel(0.0, 1.0, dist) for dist in NoiseDist}
-
-
 def control_pairs(
-    schedule: Stochastic, s: int, target: Optional[Point2] = None, steps: Optional[int] = None
-) -> Iterator[tuple[float, ...]]:
-    """Realized (d1, d2) pairs of steps 0, 1, 2, ... of `schedule`.
+    schedule: Stochastic,
+    s: int,
+    target: Optional[Point2] = None,
+    steps: Optional[int] = None,
+    value: Optional[Callable[[float, float], object]] = None,
+) -> Iterator:
+    """Realized values of steps 0, 1, 2, ... of `schedule`, drawn from state s.
 
-    s is the raw SplitMix64 state of the schedule's noise stream.  The pairs
-    are `step_values` of the schedule's two channels: every pair equals the
-    one `control_at_step` realizes, the scalar reference, and the stream
-    advances two draws per step even where a channel is constant and its
-    draws are not computed.  With a target (tx, ty), each step yields
-    instead the coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2) of its
-    pair.  The stream is endless, or with `steps` drawn only as far as the
-    chunk that holds step steps - 1, as in `step_values`.
+    This is the draw discipline of every stochastic consumer: s is the raw
+    SplitMix64 state of the schedule's noise stream, and step k realizes
+    d_i = alpha_i + ell_i * chi_i from draws 2 k and 2 k + 1, channel 1
+    first, even where a channel is constant and its draws are not computed.
+    Every pair equals the one `control_at_step` realizes, the scalar
+    reference.  Step k yields value(d1, d2), or the pair (d1, d2) when value
+    is None.  When the drawn channels are Bernoulli, value is called only to
+    build a table of the four possible steps, so it must depend on its
+    arguments alone.  With a target (tx, ty), value is not read and step k
+    yields the engine's coefficients (d1 * tx, 1.0 - d1, d2 * ty, 1.0 - d2)
+    instead, with no Python call per step.  The stream is endless, unless
+    `steps` says how many values the caller reads: then it ends with the
+    chunk that holds step steps - 1 (see `_chunk_sizes`), and no later pair
+    is drawn; with no channel drawn it ends after step steps - 1.
     """
-    return step_values(s, schedule.ch1, schedule.ch2, target=target, steps=steps)
+    return chain.from_iterable(_noise_chunks(s, schedule.ch1, schedule.ch2, value, target, steps))
 
 
 def control_at_step(schedule: Stochastic, rng: RngState) -> tuple[RngState, float, float]:

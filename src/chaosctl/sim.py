@@ -21,18 +21,19 @@ kernels, one per map (Henon, Lozi) and kind of schedule (a constant pair,
 drawn pairs), so that no step tests the map, the schedule or whether to
 record; the Lozi kernels split abs(x) on the sign of x, with the same bits.
 A kernel reads the coefficients (d * t, 1 - d) of the schedule's realized
-control pairs: from locals when both channels are constant by
-`ControlChannel.constant_value`, the rule the sampler reads too, and from
-`control.control_pairs` otherwise.  The steps before the record starts
-and the recorded ones run as two segments of the same body.  It records
-no controls; `run_trajectory` reads its controls after the loop from a
-fresh stream of the same schedule, cut to the steps run.  It records raw
-(x, y) tuples.  `Point2` is only the type of a state passed in: the
-start, the target.  A run records all its states or only its tail: the
-states of its last min(RECORD_TAIL, steps) steps, or the final state of a
-run that stopped before them.  A run under a constant control pair stops
-once its state repeats bit for bit; a drawn kernel steps the cycle once
-more, fed the same pair, and the rest of the run repeats that cycle.
+control pairs from `control.control_pairs`: step by step, or, when both
+channels are constant by `ControlChannel.constant_value`, the rule the
+sampler reads too, as the stream's one repeated tuple, held in locals.  The
+steps before the record starts and the recorded ones run as two segments of
+the same body.  It records no controls; `run_trajectory` reads its controls
+after the loop from a fresh stream of the same schedule, cut to the steps
+run.  It records raw (x, y) tuples.  `Point2` is only the type of a state
+passed in: the start, the target.  A run records all its states or only its
+tail: the states of its last min(RECORD_TAIL, steps) steps, or the final
+state of a run that stopped before them.  A run under a constant control
+pair stops once its state repeats bit for bit; a drawn kernel steps the
+cycle once more, fed the same pair, and the rest of the run repeats that
+cycle.
 
 The engine's record is one shape, a repeating unit and a count of states:
 the record is the unit repeated end to end and cut to the count.  The unit
@@ -64,7 +65,6 @@ from .control import (
     ControlChannel,
     NoiseDist,
     Stochastic,
-    _coefficients,
     control_pairs,
     next_rand,
     stream_for_trial,
@@ -439,12 +439,10 @@ def _run_raw(
 
     # Constant channels realize a constant pair; skipping the draws is
     # unobservable because each run owns its stream exclusively.
-    d1, d2 = schedule.ch1.constant_value, schedule.ch2.constant_value
-    constant = d1 is not None and d2 is not None
+    constant = schedule.ch1.constant_value is not None and schedule.ch2.constant_value is not None
+    coefs = control_pairs(schedule, rng_s, target, steps)
     if constant:
-        coefs = _coefficients(d1, d2, target)
-    else:
-        coefs = control_pairs(schedule, rng_s, target, steps)
+        coefs = next(coefs)  # with no channel drawn the stream repeats one tuple
     rec = [(start.x, start.y)] if first == 0 else []
     split = min(max(first, 1), steps + 1)
     henon = params.kind is MapKind.HENON

@@ -12,19 +12,19 @@ follows from E ln nu < 0.  This module builds that affine model, evaluates
 E ln nu exactly (closed forms), by adaptive Simpson quadrature, or by Monte
 Carlo, and solves for the smallest stabilizing noise amplitude.  One
 sampler, `log_nu_draws`, gives the ln nu draws that the Monte Carlo
-estimate `mc_log_nu` and the law-of-large-numbers running averages
-`lln_average` both read.
+estimate `mc_log_nu` and the acceptance table's law-of-large-numbers band
+read.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import accumulate, islice
-from operator import add, mul, truediv
+from itertools import islice
+from operator import add, mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .control import ControlChannel, NoiseDist, step_values, stream_for_trial
+from .control import ControlChannel, NoiseDist, Stochastic, control_pairs, stream_for_trial
 from .linalg2 import Matrix2, NormKind
 from .maps import Branch, DomainError, MapKind, MapParams, fixed_point, lipschitz_matrix
 
@@ -342,28 +342,29 @@ def _explog_quadrature(model: NuModel) -> float:
 def log_nu_draws(model: NuModel, seed: int) -> Iterator[float]:
     """Endless i.i.d. samples ln(c + p*chi_1 + q*chi_2) on trial stream 0 of `seed`.
 
-    The (chi_1, chi_2) are the draws of `noise_pairs`, two per sample.  The
-    model must be positive (c > |p| + |q|): then a chi whose weight is
-    +-0.0 only adds a zero to a positive sum, so it is held at 0.0 and not
-    drawn.  Under Bernoulli noise a sample is one of four values, read by
-    table lookup.
+    The (chi_1, chi_2) are the draws of `control_pairs` over unit channels,
+    two per sample.  The model must be positive (c > |p| + |q|): then a chi
+    whose weight is +-0.0 only adds a zero to a positive sum, so it is held
+    at 0.0 and not drawn.  Under Bernoulli noise a sample is one of four
+    values, read by table lookup.
     """
     c, p, q = model.c, model.p, model.q
     ch1, ch2 = (
         ControlChannel(0.0, 1.0 if w else 0.0, dist)
         for w, dist in ((p, model.dist1), (q, model.dist2))
     )
-    return step_values(
-        stream_for_trial(seed, 0).s, ch1, ch2, lambda chi1, chi2: math.log(c + p * chi1 + q * chi2)
+    return control_pairs(
+        Stochastic(ch1, ch2),
+        stream_for_trial(seed, 0).s,
+        value=lambda chi1, chi2: math.log(c + p * chi1 + q * chi2),
     )
 
 
 def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of ln nu.
 
-    Reads `log_nu_draws`, the samples `lln_average` reads too.  Both
-    sums add left to right from 0.0, as a loop of `+=` does, a block of
-    samples at a time so that memory stays flat.
+    Reads `log_nu_draws`.  Both sums add left to right from 0.0, as a loop
+    of `+=` does, a block of samples at a time so that memory stays flat.
     """
     _check_model(model)
     if samples < 1:
@@ -376,22 +377,6 @@ def mc_log_nu(model: NuModel, samples: int, seed: int = 0) -> tuple[float, float
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var)
-
-
-def lln_average(model: NuModel, n: int, seed: int = 0) -> list[float]:
-    """Running averages (1/k) sum ln nu(i) over n i.i.d. draws.
-
-    The final entry converges to the model's expected log by the law of
-    large numbers; the draws are those of `log_nu_draws`, which `mc_log_nu`
-    reads too.  The running sum adds left to right from 0.0, as a loop of
-    `+=` does.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not model.positive:
-        raise DomainError(f"nu can reach zero: need c > |p| + |q|, got c={model.c}")
-    totals = accumulate(islice(log_nu_draws(model, seed), n), initial=0.0)
-    return list(map(truediv, islice(totals, 1, None), range(1, n + 1)))
 
 
 def expected_log_nu(model: NuModel, method: str = "closed-form", *, seed: int = 0) -> float:

@@ -28,7 +28,7 @@ from .control import (
     ControlChannel,
     NoiseDist,
     Stochastic,
-    noise_pairs,
+    control_pairs,
     stream_for_trial,
     vmtoc_step,
 )
@@ -259,8 +259,8 @@ def check_global_lozi(threads=None) -> CheckRow:
 
 def _rand_stream(seed: int):
     """Uniform draws on [-2, 2), one per call, from trial stream 0 of seed."""
-    unif = NoiseDist.UNIFORM_M1P1
-    draws = chain.from_iterable(noise_pairs(stream_for_trial(seed, 0).s, unif, unif))
+    unit = ControlChannel(0.0, 1.0, NoiseDist.UNIFORM_M1P1)
+    draws = chain.from_iterable(control_pairs(Stochastic(unit, unit), stream_for_trial(seed, 0).s))
     return lambda: 2.0 * next(draws)
 
 
@@ -378,7 +378,7 @@ def check_geometric_decay() -> CheckRow:
 
 
 def _final_lln_mean(model, n: int, seed: int) -> float:
-    """`lln_average(model, n, seed)[-1]`, bit for bit, without the running means before it."""
+    """The mean of n draws of `log_nu_draws`, summed left to right from 0.0."""
     return reduce(add, islice(log_nu_draws(model, seed), n), 0.0) / n
 
 

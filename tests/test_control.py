@@ -18,8 +18,6 @@ from chaosctl import (
     henon,
     map_step,
     next_rand,
-    noise_pairs,
-    scramble,
     stream_for_trial,
     vmtoc_step,
 )
@@ -30,6 +28,7 @@ from chaosctl.control import (
     bernoulli_pm1,
     control_at_step,
     sample_noise,
+    scramble,
     uniform_m1p1,
 )
 
@@ -105,12 +104,14 @@ _near_wrap = st.integers(0, 2048).map(lambda k: (M64 - k * GOLDEN) & M64)
     dist1=st.sampled_from(list(NoiseDist)),
     dist2=st.sampled_from(list(NoiseDist)),
 )
-def test_noise_pairs_flatten_to_next_rand_sequence(s, dist1, dist2):
-    # 3100 pairs cross every chunk boundary (chunks of 32, 64, ..., 512 pairs,
-    # then 1024 a chunk) and fill two chunks at the cap.  Pair by pair: a
-    # failing assert on two long reprs makes every shrink step diff them.
+def test_unit_channel_pairs_flatten_to_next_rand_sequence(s, dist1, dist2):
+    # Unit channels, d = chi, give the raw (chi_1, chi_2) samples.  3100 pairs
+    # cross every chunk boundary (chunks of 32, 64, ..., 512 pairs, then 1024
+    # a chunk) and fill two chunks at the cap.  Pair by pair: a failing
+    # assert on two long reprs makes every shrink step diff them.
+    unit = Stochastic(ControlChannel(0.0, 1.0, dist1), ControlChannel(0.0, 1.0, dist2))
     state = RngState(s)
-    for i, pair in enumerate(islice(noise_pairs(s, dist1, dist2), 3100)):
+    for i, pair in enumerate(islice(control_pairs(unit, s), 3100)):
         state, z1 = next_rand(state)
         state, z2 = next_rand(state)
         assert repr(pair) == repr((sample_noise(dist1, z1), sample_noise(dist2, z2))), i
@@ -135,7 +136,7 @@ _schedule = st.one_of(
 @given(s=st.one_of(st.integers(0, M64), _near_wrap), schedule=_schedule)
 def test_control_pairs_match_control_at_step(s, schedule):
     # 3100 pairs cover every chunk size and two capped chunks; compared pair
-    # by pair, as in the noise_pairs test above.
+    # by pair, as in the unit-channel test above.
     rng = RngState(s)
     for n, pair in enumerate(islice(control_pairs(schedule, s), 3100)):
         rng, d1, d2 = control_at_step(schedule, rng)
@@ -322,6 +323,37 @@ def test_control_pairs_with_steps_match_control_at_step(name, steps, target):
         rng, d1, d2 = control_at_step(schedule, rng)
         want = (d1, d2) if target is None else _coefficients(d1, d2, target)
         assert repr(value) == repr(want), n
+
+
+@pytest.mark.parametrize(
+    "schedule, constant",
+    [
+        (Constant(0.6, 0.0), True),
+        (Constant(0.25, 0.75), True),
+        (Constant(0.9999999999999999), True),
+        (Stochastic(ControlChannel(0.4, 1e-300), ControlChannel(0.7, 5e-324)), True),
+        # a -0.0 alpha realizes -0.0 or 0.0 with the draw, so it is drawn
+        (Constant(-0.0, 0.5), False),
+        (Constant(0.5, -0.0), False),
+        (Constant(-0.0, -0.0), False),
+    ],
+)
+@pytest.mark.parametrize("target", [Point2(0.63, 0.19), Point2(-0.7, -0.0), Point2(-0.0, 2.5)])
+def test_constant_stream_repeats_the_coefficients_of_its_pair(schedule, constant, target):
+    # The engine reads a constant schedule's coefficients as the first value
+    # of its stream, so every value must be that one tuple.  Given steps, a
+    # stream with nothing drawn ends after them, like a drawn one's chunks.
+    held = [ch.constant_value for ch in schedule]
+    assert (None not in held) is constant
+    got = list(islice(control_pairs(schedule, 9, target, 100), 1000))
+    assert len(got) == (100 if constant else sum(_chunk_sizes(100)))
+    rng = RngState(9)
+    for n, value in enumerate(got):
+        rng, d1, d2 = control_at_step(schedule, rng)
+        assert repr(value) == repr(_coefficients(d1, d2, target)), n
+    if constant:
+        assert repr(got[0]) == repr(_coefficients(*held, target))
+        assert all(value is got[0] for value in got)
 
 
 @pytest.mark.parametrize("steps", [1, 31, 32, 33, 95, 96, 97, 700, 2000, 3100, None])

@@ -50,16 +50,48 @@ def _private_definitions(tree):
                 yield name, node.lineno
 
 
+def _reads(node):
+    """Each name that the code under `node` reads: a loaded name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_private_name_is_read():
     # a private helper that no code reads is dead code left behind
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in _MODULES}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = {name for tree in trees.values() for name in _reads(tree)}
     unread = [(module, name, line) for module, tree in trees.items()
               for name, line in _private_definitions(tree) if name not in read]
     assert unread == [], "module-level private names that nothing in the package reads"
+
+
+_PERFBENCH = sorted((pathlib.Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+#: Public names that nothing in the package or the benchmark reads, each kept
+#: on purpose.
+_UNREAD_PUBLIC = {
+    # the one-word-at-a-time scalar reference the tests hold the chunked
+    # noise stream to
+    "control_at_step",
+    # the exact controlled Jacobian, which a top Lyapunov exponent estimate
+    # (ROADMAP.md, item 1) is to read
+    "controlled_jacobian",
+}
+
+
+def test_every_public_name_is_read():
+    # a public function or class that only __init__ exports is dead code; a
+    # definition's reads of its own name do not count
+    read = {name for p in _PERFBENCH for name in _reads(ast.parse(p.read_text()))}
+    public = []
+    for path in _MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((path.stem, node.name))
+            read.update(name for name in _reads(node) if getattr(node, "name", None) != name)
+    assert _PERFBENCH and public
+    unread = [(module, name) for module, name in public if name not in read]
+    assert sorted(name for _, name in unread) == sorted(_UNREAD_PUBLIC), unread

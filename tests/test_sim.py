@@ -4,6 +4,7 @@ import inspect
 import io
 import math
 import tracemalloc
+from itertools import accumulate, islice
 
 import pytest
 import scipy.stats
@@ -38,7 +39,6 @@ from chaosctl import (
     henon,
     induced_norm,
     limit_set,
-    lln_average,
     local_threshold,
     lozi,
     map_step,
@@ -54,7 +54,7 @@ from chaosctl import (
 from chaosctl import cli, sim, verify
 from chaosctl.control import control_at_step, sample_noise
 from chaosctl.sim import CONV_TOL, CONV_WINDOW, ESCAPE_BOUND, _classify_points
-from chaosctl.stability import NuModel, mc_log_nu
+from chaosctl.stability import NuModel, log_nu_draws, mc_log_nu
 
 PLUS = Branch.PLUS
 
@@ -1165,13 +1165,11 @@ _models = st.builds(
 )
 def test_lln_and_mc_log_nu_match_next_rand_reference(model, n, seed):
     vs = _reference_log_nu(model, n, seed)
+    assert list(map(repr, islice(log_nu_draws(model, seed), n))) == list(map(repr, vs))
     total = total_sq = 0.0
-    running = []
-    for k, v in enumerate(vs, start=1):
+    for v in vs:
         total += v
         total_sq += v * v
-        running.append(total / k)
-    assert lln_average(model, n, seed) == running
     mean = total / n
     assert mc_log_nu(model, n, seed) == (mean, math.sqrt(max(total_sq / n - mean * mean, 0.0)))
 
@@ -1179,31 +1177,31 @@ def test_lln_and_mc_log_nu_match_next_rand_reference(model, n, seed):
 def test_lln_degenerate_model(lozi_std):
     m = build_nu_model(lozi_std, PLUS, 0.0, NormKind.L1,
                        ControlChannel(0.3), ControlChannel(0.2))
-    avgs = lln_average(m, 100, seed=0)
-    assert all(a == pytest.approx(math.log(m.c), rel=1e-15) for a in avgs)
+    assert set(islice(log_nu_draws(m, 0), 100)) == {math.log(m.c)}
+    assert verify._final_lln_mean(m, 100, 0) == pytest.approx(math.log(m.c), rel=1e-15)
 
 
 def test_lln_band_henon(henon_std):
     m = build_nu_model(henon_std, PLUS, 0.0, NormKind.LINF,
                        ControlChannel(0.44, 0.4279), ControlChannel(0.0))
     n = 100_000
-    avgs = lln_average(m, n, seed=7)
-    assert len(avgs) == n
+    final = verify._final_lln_mean(m, n, 7)
     _, sd = mc_log_nu(m, 20_000, seed=3)
-    assert abs(avgs[-1] - expected_log_nu(m)) <= 4.0 * sd / math.sqrt(n)
+    assert abs(final - expected_log_nu(m)) <= 4.0 * sd / math.sqrt(n)
 
 
 def test_lln_band_lozi_two_bernoulli(lozi_std):
     m = build_nu_model(lozi_std, PLUS, 0.0, NormKind.L1,
                        ControlChannel(0.27, 0.2), ControlChannel(0.9, 0.55))
     n = 1_000_000
-    final = lln_average(m, n, seed=7)[-1]
+    final = verify._final_lln_mean(m, n, 7)
     _, sd = mc_log_nu(m, 20_000, seed=3)
     assert abs(final - (-0.0016)) <= 4.0 * sd / math.sqrt(n) + 1e-5
 
 
 def test_verify_final_lln_mean_is_last_running_average():
-    # row 6f reads only the final mean of lln_average's draws
+    # row 6f reads only the final running mean of log_nu_draws
+    n = 100_000
     for model in verify._reference_models():
-        want = lln_average(model, 100_000, 7)[-1]
-        assert repr(verify._final_lln_mean(model, 100_000, 7)) == repr(want)
+        *_, total = accumulate(islice(log_nu_draws(model, 7), n), initial=0.0)
+        assert repr(verify._final_lln_mean(model, n, 7)) == repr(total / n)

@@ -24,7 +24,6 @@ from chaosctl import (
     henon,
     induced_norm,
     lipschitz_matrix,
-    lln_average,
     local_threshold,
     lozi,
     min_noise_for_stability,
@@ -476,11 +475,6 @@ def test_explog_single_uniform_noise_below_the_underflow():
     # w/c rounds to 0: the antiderivative form gave 0/(2w) - 1 = -1 here
     model = NuModel(c=2.0, p=5e-324, q=0.0, dist1=UNIF, dist2=BERN, regime_ok=True)
     assert expected_log_nu(model) == math.log(2.0)
-
-
-def test_lln_average_is_exported_from_stability():
-    # it reads log_nu_draws, as mc_log_nu does
-    assert lln_average.__module__ == "chaosctl.stability"
 
 
 def test_explog_quadrature_vs_scipy():
