@@ -55,7 +55,6 @@ from .stability import (
 )
 from .sim import (
     Bounded,
-    BoxSampler,
     Converged,
     Escaped,
     InsufficientData,

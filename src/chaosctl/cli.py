@@ -2,9 +2,10 @@
 
 Subcommands produce either a single `name,value` line on stdout (threshold,
 explog, minnoise) or CSV data (simulate, bifurcation, limitset, montecarlo,
-repro).  CSV goes to stdout unless --out is given, in which case the file is
-written atomically (temp file + rename).  Status and error messages go to
-stderr only.
+repro).  CSV goes to stdout unless --out is given.  A regular or new --out
+file is written atomically (temp file + rename); a device, FIFO or other
+node that is not a regular file is written in place.  Status and error
+messages go to stderr only.
 
 Each handler returns its output as an iterable of text chunks, and CSV is
 written as it is formatted: `bifurcation` yields one chunk per alpha, so its
@@ -77,9 +78,6 @@ from .stability import (
     norm_threshold,
 )
 
-_NORMS = {"linf": NormKind.LINF, "l1": NormKind.L1, "spectral": NormKind.L2SPECTRAL}
-_DISTS = {"bernoulli": NoiseDist.BERNOULLI_PM1, "uniform": NoiseDist.UNIFORM_M1P1}
-
 
 def _fmt(v: float) -> str:
     """Shortest round-trip decimal representation."""
@@ -147,13 +145,13 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
 def _add_channel2_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
     p.add_argument("--ell2", type=float, default=0.0)
-    p.add_argument("--dist2", choices=list(_DISTS), default="bernoulli")
+    p.add_argument("--dist2", choices=[d.value for d in NoiseDist], default="bernoulli")
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha1", "--alpha", dest="alpha1", type=float, default=0.0)
     p.add_argument("--ell1", type=float, default=0.0)
-    p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
+    p.add_argument("--dist1", choices=[d.value for d in NoiseDist], default="bernoulli")
     _add_channel2_flags(p)
 
 
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flags(p)
     p.add_argument("--alpha-range", type=_alpha_range, required=True, metavar="LO:HI:N")
     p.add_argument("--ell1", type=float, default=0.0)
-    p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
+    p.add_argument("--dist1", choices=[d.value for d in NoiseDist], default="bernoulli")
     _add_channel2_flags(p)
     p.add_argument("--inits", type=int, default=20, help="size of the initial-state grid")
     p.add_argument("--steps", type=int, default=700)
@@ -202,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="critical control intensity alpha*")
     _add_map_flags(p)
     p.add_argument("--alpha2", "--beta", dest="alpha2", type=float, default=0.0)
-    p.add_argument("--norm", choices=list(_NORMS), default=None,
+    p.add_argument("--norm", choices=[n.value for n in NormKind], default=None,
                    help="norm-bound threshold instead of the local one")
     p.add_argument("--radius", type=float, default=None,
                    help="radius of the ball the norm bound holds on (default 0; needs --norm)")
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minnoise", help="smallest stabilizing ell1")
     _add_map_flags(p)
     p.add_argument("--alpha1", "--alpha", dest="alpha1", type=float, required=True)
-    p.add_argument("--dist1", choices=list(_DISTS), default="bernoulli")
+    p.add_argument("--dist1", choices=[d.value for d in NoiseDist], default="bernoulli")
     _add_channel2_flags(p)
     p.add_argument("--norm", choices=["linf", "l1"], required=True)
     p.add_argument("--radius", type=float, default=0.0)
@@ -253,11 +251,12 @@ def _branch(args) -> Branch:
 
 
 def _channel2(args) -> ControlChannel:
-    return ControlChannel(args.alpha2, args.ell2, _DISTS[args.dist2])
+    return ControlChannel(args.alpha2, args.ell2, NoiseDist(args.dist2))
 
 
 def _schedule(args) -> Stochastic:
-    return Stochastic(ControlChannel(args.alpha1, args.ell1, _DISTS[args.dist1]), _channel2(args))
+    ch1 = ControlChannel(args.alpha1, args.ell1, NoiseDist(args.dist1))
+    return Stochastic(ch1, _channel2(args))
 
 
 def _seed(args) -> int:
@@ -351,7 +350,7 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
         default_init_grid(args.inits),
         cfg,
         ell1=args.ell1,
-        dist1=_DISTS[args.dist1],
+        dist1=NoiseDist(args.dist1),
         threads=args.threads,
     )
     header = f"{_args_line(args)}\n# escaped_cells: {res.escaped_cells}\nalpha,x\n"
@@ -398,7 +397,7 @@ def _cmd_threshold(args) -> tuple[Iterable[str], int]:
         v = local_threshold(_params(args), _branch(args), args.alpha2)
     else:
         v = norm_threshold(
-            _params(args), _branch(args), args.radius or 0.0, args.alpha2, _NORMS[args.norm]
+            _params(args), _branch(args), args.radius or 0.0, args.alpha2, NormKind(args.norm)
         )
     # a threshold is below 1, so where 5 digits round it to 1 print it whole
     text = f"{v:.5g}"
@@ -408,7 +407,7 @@ def _cmd_threshold(args) -> tuple[Iterable[str], int]:
 def _cmd_explog(args) -> tuple[Iterable[str], int]:
     params, schedule = _params(args), _schedule(args)
     model = build_nu_model(
-        params, _branch(args), args.radius, _NORMS[args.norm], schedule.ch1, schedule.ch2
+        params, _branch(args), args.radius, NormKind(args.norm), schedule.ch1, schedule.ch2
     )
     v = expected_log_nu(model, args.method, seed=_seed(args))
     return [f"e_ln_nu,{_fmt(v)}\n"], 0
@@ -419,9 +418,9 @@ def _cmd_minnoise(args) -> tuple[Iterable[str], int]:
         _params(args),
         _branch(args),
         args.radius,
-        _NORMS[args.norm],
+        NormKind(args.norm),
         args.alpha1,
-        _DISTS[args.dist1],
+        NoiseDist(args.dist1),
         _channel2(args),
     )
     return [f"ell1_star,{v:.5g}\n"], 0

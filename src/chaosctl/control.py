@@ -232,9 +232,9 @@ def _noise_chunks(
     so the value lies between the two equal ends, and a sum is -0.0 only
     when both terms are, which with alpha = -0.0 makes the ends differ.
     This is the whole draw rule: channel i is drawn exactly when it is not
-    constant, and with neither drawn the stream is `repeat` of the held pair
-    or of its value, `steps` times when steps is given, and no table is
-    built.
+    constant.  At least one channel is drawn here; with neither drawn,
+    `control_pairs` returns `repeat` of the held value itself and builds no
+    chunk.
 
     When every channel that is not constant is Bernoulli, a step's pair
     (d1, d2) depends only on the two sign bits b_i (bit 63 of draw i, chi_i =
@@ -272,10 +272,6 @@ def _noise_chunks(
     if target is not None:
         value = partial(_coefficients, target=target)
         goals = (target.x, target.y)
-    if not any(drawn):
-        one = held if value is None else value(*held)
-        yield repeat(one) if steps is None else repeat(one, steps)
-        return
 
     def at(chi1: float, chi2: float) -> tuple[float, float]:
         return (ch1.alpha + ch1.ell * chi1, ch2.alpha + ch2.ell * chi2)
@@ -410,9 +406,18 @@ def control_pairs(
     instead, with no Python call per step.  The stream is endless, unless
     `steps` says how many values the caller reads: then it ends with the
     chunk that holds step steps - 1 (see `_chunk_sizes`), and no later pair
-    is drawn; with no channel drawn it ends after step steps - 1.
+    is drawn.  With no channel drawn it is one object, built once and
+    repeated, and it ends after step steps - 1.
     """
-    return chain.from_iterable(_noise_chunks(s, schedule.ch1, schedule.ch2, value, target, steps))
+    ch1, ch2 = schedule
+    held = (ch1.constant_value, ch2.constant_value)
+    if None in held:
+        return chain.from_iterable(_noise_chunks(s, ch1, ch2, value, target, steps))
+    if target is not None:
+        held = _coefficients(*held, target)
+    elif value is not None:
+        held = value(*held)
+    return repeat(held) if steps is None else repeat(held, steps)
 
 
 def control_at_step(schedule: Stochastic, rng: RngState) -> tuple[RngState, float, float]:

@@ -66,9 +66,7 @@ from .control import (
     NoiseDist,
     Stochastic,
     control_pairs,
-    next_rand,
     stream_for_trial,
-    uniform_m1p1,
 )
 from .maps import Branch, MapKind, MapParams, Point2, fixed_point
 
@@ -210,24 +208,6 @@ class PointSet(NamedTuple("PointSet", [("points", tuple[Point2, ...])])):
         if not points:
             raise ValueError("initial point set must be non-empty")
         return super().__new__(cls, points)
-
-
-class BoxSampler(
-    NamedTuple(
-        "BoxSampler", [("x_lo", float), ("x_hi", float), ("y_lo", float), ("y_hi", float)]
-    )
-):
-    """Initial states drawn uniformly from a box, two draws per trial."""
-
-    __slots__ = ()
-
-    def __new__(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> BoxSampler:
-        if not (x_lo <= x_hi and y_lo <= y_hi):
-            raise ValueError("box corners must be ordered")
-        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
-
-
-InitSampler = Union[PointSet, BoxSampler]
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -720,36 +700,26 @@ def mc_convergence(
     params: MapParams,
     branch: Branch,
     schedule: Stochastic,
-    init_sampler: InitSampler,
+    starts: PointSet,
     trials: int,
     cfg: SimConfig,
     threads: Optional[int] = None,
 ) -> MonteCarloReport:
     """Fraction of independent trials that converge to the equilibrium.
 
-    Trial k uses noise stream k; with a BoxSampler the trial's initial state
-    consumes the first two uniform draws of its own stream.  A trial whose
-    state overflows to inf or NaN counts as escaped.  Deterministic for a fixed
-    seed and trial count.
+    Trial k starts at starts.points[k % len(starts.points)] on noise stream
+    k.  A trial whose state overflows to inf or NaN counts as escaped.
+    Deterministic for a fixed seed and trial count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     target = fixed_point(params, branch)
 
     def run_one(k: int) -> bool:
-        rng = stream_for_trial(cfg.seed, k)
-        if isinstance(init_sampler, PointSet):
-            init = init_sampler.points[k % len(init_sampler.points)]
-        else:
-            rng, z1 = next_rand(rng)
-            rng, z2 = next_rand(rng)
-            bx = init_sampler
-            init = Point2(
-                bx.x_lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (bx.x_hi - bx.x_lo),
-                bx.y_lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (bx.y_hi - bx.y_lo),
-            )
+        init = starts.points[k % len(starts.points)]
+        rng_s = stream_for_trial(cfg.seed, k).s
         # only the outcome is read: a first step past the run records nothing
-        outcome = _run_raw(params, target, schedule, cfg, init, rng.s, cfg.steps + 1)[0]
+        outcome = _run_raw(params, target, schedule, cfg, init, rng_s, cfg.steps + 1)[0]
         return isinstance(outcome, Converged)
 
     flags = _parallel_map(run_one, trials, threads)

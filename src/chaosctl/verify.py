@@ -35,7 +35,6 @@ from .control import (
 from .linalg2 import NormKind, eigen_moduli, induced_norm, mat_mul, mat_vec, trace_det_stable, vec_norm
 from .maps import Branch, Matrix2, Point2, fixed_point, henon, lipschitz_matrix, lozi, map_step
 from .sim import (
-    BoxSampler,
     Periodic,
     PointSet,
     SimConfig,
@@ -57,6 +56,9 @@ from .stability import (
 )
 
 BRANCH = Branch.PLUS
+_UNIT = ControlChannel(0.0, 1.0, NoiseDist.UNIFORM_M1P1)
+#: The (chi1, chi2) sampler: two uniform channels whose realized d is chi.
+_CHI = Stochastic(_UNIT, _UNIT)
 
 
 class CheckRow(NamedTuple):
@@ -201,10 +203,14 @@ def check_collapse(name, params, beta, lo, hi, expected, threads=None) -> CheckR
 
 # --- criterion 4: noise-induced stabilization -------------------------------
 
-def _mc(params, x0, a1, l1, a2, l2, threads=None, trials=200):
+#: Monte Carlo trials of each row of criteria 4 and 5.
+TRIALS = 200
+
+
+def _mc(params, x0, a1, l1, a2, l2, threads=None):
     cfg = SimConfig(initial=x0, steps=2000, seed=0)
     schedule = Stochastic(ControlChannel(a1, l1), ControlChannel(a2, l2))
-    return mc_convergence(params, BRANCH, schedule, PointSet((x0,)), trials, cfg, threads)
+    return mc_convergence(params, BRANCH, schedule, PointSet((x0,)), TRIALS, cfg, threads)
 
 
 def check_noise_stabilization(threads=None) -> list[CheckRow]:
@@ -245,30 +251,42 @@ def check_noise_stabilization(threads=None) -> list[CheckRow]:
 
 # --- criterion 5: global Lozi bound -----------------------------------------
 
+def _box_starts(lo: float, hi: float, n: int) -> PointSet:
+    """n starts in the square [lo, hi]^2: start k maps the first (chi1, chi2)
+    of trial stream k of seed 0 to lo + (chi + 1) / 2 * (hi - lo)."""
+
+    def start(k: int) -> Point2:
+        chi1, chi2 = next(control_pairs(_CHI, stream_for_trial(0, k).s, steps=1))
+        return Point2(lo + (chi1 + 1.0) * 0.5 * (hi - lo), lo + (chi2 + 1.0) * 0.5 * (hi - lo))
+
+    return PointSet(tuple(map(start, range(n))))
+
+
 def check_global_lozi(threads=None) -> CheckRow:
     cfg = SimConfig(initial=Point2(0.0, 0.0), steps=2000, seed=0)
-    rep = mc_convergence(
-        lozi(), BRANCH, Constant(0.59, 0.0),
-        BoxSampler(-100.0, 100.0, -100.0, 100.0), 200, cfg, threads,
-    )
+    starts = _box_starts(-100.0, 100.0, TRIALS)
+    rep = mc_convergence(lozi(), BRANCH, Constant(0.59, 0.0), starts, TRIALS, cfg, threads)
     return _row("5-lozi-global-bound", rep.fraction == 1.0,
-                f"fraction={rep.fraction} over 200 box-sampled starts (want 1.0)")
+                f"fraction={rep.fraction} over {TRIALS} box-sampled starts (want 1.0)")
 
 
 # --- criterion 6: property suites -------------------------------------------
 
+#: Sampled cases of each of rows 6a, 6b and 6d.
+SAMPLES = 10_000
+
+
 def _rand_stream(seed: int):
     """Uniform draws on [-2, 2), one per call, from trial stream 0 of seed."""
-    unit = ControlChannel(0.0, 1.0, NoiseDist.UNIFORM_M1P1)
-    draws = chain.from_iterable(control_pairs(Stochastic(unit, unit), stream_for_trial(seed, 0).s))
+    draws = chain.from_iterable(control_pairs(_CHI, stream_for_trial(seed, 0).s))
     return lambda: 2.0 * next(draws)
 
 
-def check_norm_axioms(cases: int = 10_000) -> CheckRow:
+def check_norm_axioms() -> CheckRow:
     draw = _rand_stream(101)
     slack = 1.0 + 1e-12
     bad = 0
-    for _ in range(cases):
+    for _ in range(SAMPLES):
         m = Matrix2(draw(), draw(), draw(), draw())
         n = Matrix2(draw(), draw(), draw(), draw())
         vx, vy = draw(), draw()
@@ -280,14 +298,14 @@ def check_norm_axioms(cases: int = 10_000) -> CheckRow:
                 bad += 1
             if induced_norm(mn, norm) > nm * induced_norm(n, norm) * slack:
                 bad += 1
-    return _row("6a-norm-axioms", bad == 0, f"{cases} matrices x 3 norms, {bad} violations")
+    return _row("6a-norm-axioms", bad == 0, f"{SAMPLES} matrices x 3 norms, {bad} violations")
 
 
-def check_trace_det_equivalence(cases: int = 10_000) -> CheckRow:
+def check_trace_det_equivalence() -> CheckRow:
     draw = _rand_stream(202)
     bad = 0
     checked = 0
-    for _ in range(cases):
+    for _ in range(SAMPLES):
         m = Matrix2(draw(), draw(), draw(), draw())
         mod = max(eigen_moduli(m))
         if abs(mod - 1.0) < 1e-10:
@@ -315,13 +333,13 @@ def check_target_invariance() -> CheckRow:
                 f"2 maps x 100x100 control grid, worst error {worst:.1e}")
 
 
-def check_lipschitz_domination(cases: int = 10_000) -> CheckRow:
+def check_lipschitz_domination() -> CheckRow:
     draw = _rand_stream(303)
     bad = 0
     for params, R in ((henon(), 0.36), (lozi(), 0.2)):
         star = fixed_point(params, BRANCH)
         a = lipschitz_matrix(params, BRANCH, R)
-        for _ in range(cases // 2):
+        for _ in range(SAMPLES // 2):
             dx = 0.5 * R * draw()  # uniform in the max-norm ball of radius R
             dy = 0.5 * R * draw()
             p = Point2(star.x + dx, star.y + dy)
@@ -330,7 +348,7 @@ def check_lipschitz_domination(cases: int = 10_000) -> CheckRow:
             b2 = a.a21 * abs(dx) + a.a22 * abs(dy) + 1e-12
             if abs(f.x - star.x) > b1 or abs(f.y - star.y) > b2:
                 bad += 1
-    return _row("6d-lipschitz-domination", bad == 0, f"{cases} sampled states, {bad} violations")
+    return _row("6d-lipschitz-domination", bad == 0, f"{SAMPLES} sampled states, {bad} violations")
 
 
 def check_geometric_decay() -> CheckRow:

@@ -16,7 +16,7 @@ import pytest
 from chaosctl import verify
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-TRIALS = 200
+TRIALS = verify.TRIALS
 #: The measured fraction of each row marked xfail below, quoted exactly
 #: here, in the xfail reasons and in the README: 105, 57 and 51 of 200.
 UNATTAINABLE = {

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaosctl import (
     ControlChannel,
+    NoiseDist,
     Periodic,
     Point2,
     SweepCell,
@@ -477,13 +478,25 @@ def test_bifurcation_threads_byte_identical():
     assert cli.render(base + ["--threads", "1"]) == cli.render(base + ["--threads", "4"])
 
 
-@pytest.mark.parametrize("preset", ["fig3d", "fig7d", "fig10b"])
-def test_repro_bytes_equal_in_fresh_interpreters(preset, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro", "fig3d"],
+        ["repro", "fig7d"],
+        ["repro", "fig10b"],
+        ["bifurcation", "--map", "henon", "--alpha-range", "0.3:0.6:20", "--ell1", "0.2861",
+         "--alpha2", "0.8", "--inits", "5"],
+        ["montecarlo", "--map", "henon", "--alpha1", "0.44", "--ell1", "0.3",
+         "--x0", "0.3", "--y0", "0.1", "--trials", "50"],
+    ],
+    ids=["fig3d", "fig7d", "fig10b", "bifurcation-bernoulli", "montecarlo-4b"],
+)
+def test_repro_bytes_equal_in_fresh_interpreters(argv, monkeypatch):
     # every run is deterministic with no thread pool: one and two Bernoulli
-    # channels, and uniform noise, render the same bytes in this process and
-    # in fresh interpreters whose string hashing differs
+    # channels, uniform noise, a noisy sweep and Monte Carlo trials render
+    # the same bytes in this process and in fresh interpreters whose string
+    # hashing differs
     monkeypatch.delenv("CHAOSCTL_SEED", raising=False)
-    argv = ["repro", preset]
     want = cli.render(argv).encode()
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -501,9 +514,9 @@ def _single_join_reference(argv):
     lo, hi, n_alpha = args.alpha_range
     res = bifurcation_sweep(
         cli._params(args), cli._branch(args),
-        ControlChannel(args.alpha2, args.ell2, cli._DISTS[args.dist2]),
+        ControlChannel(args.alpha2, args.ell2, NoiseDist(args.dist2)),
         lo, hi, n_alpha, default_init_grid(args.inits), cli._config(args, Point2(0.1, 0.1)),
-        ell1=args.ell1, dist1=cli._DISTS[args.dist1],
+        ell1=args.ell1, dist1=NoiseDist(args.dist1),
     )
     lines = [cli._args_line(args), f"# escaped_cells: {res.escaped_cells}", "alpha,x"]
     per_alpha = len(res.cells) // len(res.alphas)

@@ -354,6 +354,16 @@ def test_constant_stream_repeats_the_coefficients_of_its_pair(schedule, constant
     if constant:
         assert repr(got[0]) == repr(_coefficients(*held, target))
         assert all(value is got[0] for value in got)
+        # so do the pair and value= modes, which cli._pair_texts formats once
+        # per object: one object, steps times, then exhausted
+        text = "{!r},{!r}".format
+        for stream, want in (
+            (control_pairs(schedule, 9, steps=100), tuple(held)),
+            (control_pairs(schedule, 9, steps=100, value=text), text(*held)),
+        ):
+            got = list(islice(stream, 1000))
+            assert len(got) == 100 and repr(got[0]) == repr(want)
+            assert all(value is got[0] for value in got)
 
 
 @pytest.mark.parametrize("steps", [1, 31, 32, 33, 95, 96, 97, 700, 2000, 3100, None])

@@ -35,6 +35,31 @@ def test_every_imported_name_is_used(path):
     assert unused == [], f"{path.name} imports names it never uses"
 
 
+#: control's one-word-at-a-time scalar reference, which the tests hold the
+#: chunked noise stream to; the package reads the noise only through
+#: `control_pairs` and `stream_for_trial`.
+_SCALAR_REFERENCE = {
+    "next_rand", "RngState", "uniform_m1p1", "bernoulli_pm1", "sample_noise",
+    "control_at_step", "scramble",
+}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in _MODULES if p.stem != "control"], ids=lambda p: p.stem
+)
+def test_only_control_imports_the_scalar_reference(path):
+    # __init__, not among _MODULES, re-exports next_rand and RngState
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("control", "chaosctl.control")
+        for alias in node.names
+        if alias.name in _SCALAR_REFERENCE
+    ]
+    assert found == [], f"{path.name} imports the scalar reference"
+
+
 def _private_definitions(tree):
     """Each `_name` (not a dunder) that a module binds at top level, with its line."""
     for node in tree.body:

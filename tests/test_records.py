@@ -8,7 +8,6 @@ import pytest
 
 from chaosctl import (
     Bounded,
-    BoxSampler,
     ControlChannel,
     Converged,
     DomainError,
@@ -47,7 +46,6 @@ RECORDS = [
     Trajectory([(0.0, 0.0)], [], Bounded(), 0),
     MonteCarloReport(4, 2, 0.5, 0.1, 0.9),
     PointSet((Point2(0.0, 0.0),)),
-    BoxSampler(0.0, 1.0, 0.0, 1.0),
     SweepCell(array("d", [0.3]), 200),
     SweepResult((0.1, 0.2), [None, SweepCell(array("d", [0.3]), 200)], 1),
     NuModel(1.0, 0.1, 0.2, NoiseDist.BERNOULLI_PM1, NoiseDist.UNIFORM_M1P1, True),
@@ -120,8 +118,6 @@ def test_point_repr_and_default_channel():
         (lambda: SimConfig(initial=Point2(0.0, 0.0), steps=-3, seed=1), ValueError,
          "steps must be positive, got -3"),
         (lambda: PointSet(()), ValueError, "initial point set must be non-empty"),
-        (lambda: BoxSampler(1.0, 0.0, 0.0, 1.0), ValueError, "box corners must be ordered"),
-        (lambda: BoxSampler(0.0, 1.0, 2.0, 1.0), ValueError, "box corners must be ordered"),
     ],
 )
 def test_validated_records_keep_their_errors(make, error, message):

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from chaosctl import (
     Bounded,
-    BoxSampler,
     Branch,
     Constant,
     ControlChannel,
@@ -52,7 +51,7 @@ from chaosctl import (
     wilson_interval,
 )
 from chaosctl import cli, sim, verify
-from chaosctl.control import control_at_step, sample_noise
+from chaosctl.control import control_at_step, sample_noise, uniform_m1p1
 from chaosctl.sim import CONV_TOL, CONV_WINDOW, ESCAPE_BOUND, _classify_points
 from chaosctl.stability import NuModel, log_nu_draws, mc_log_nu
 
@@ -1079,7 +1078,7 @@ def test_mc_global_lozi_bound(lozi_std):
     cfg = SimConfig(initial=Point2(0.0, 0.0), steps=2000, seed=0)
     rep = mc_convergence(
         lozi_std, PLUS, Constant(0.59, 0.0),
-        BoxSampler(-100.0, 100.0, -100.0, 100.0), 200, cfg,
+        verify._box_starts(-100.0, 100.0, 200), 200, cfg,
     )
     assert rep.fraction == 1.0
 
@@ -1087,25 +1086,39 @@ def test_mc_global_lozi_bound(lozi_std):
 def test_mc_threads_deterministic(lozi_std):
     cfg = SimConfig(initial=Point2(0.0, 0.0), steps=2000, seed=3)
     args = (lozi_std, PLUS, Constant(0.59, 0.0),
-            BoxSampler(-50.0, 50.0, -50.0, 50.0), 64, cfg)
+            verify._box_starts(-50.0, 50.0, 64), 64, cfg)
     assert mc_convergence(*args, threads=1) == mc_convergence(*args, threads=8)
+
+
+def test_box_starts_match_two_draws_of_each_trial_stream():
+    # start k is the first two uniform draws of trial stream k of seed 0,
+    # each mapped onto [lo, hi] by lo + (u + 1.0) * 0.5 * (hi - lo)
+    lo, hi = -100.0, 100.0
+    want = []
+    for k in range(200):
+        rng, z1 = next_rand(stream_for_trial(0, k))
+        _, z2 = next_rand(rng)
+        want.append(Point2(lo + (uniform_m1p1(z1) + 1.0) * 0.5 * (hi - lo),
+                           lo + (uniform_m1p1(z2) + 1.0) * 0.5 * (hi - lo)))
+    assert list(map(repr, verify._box_starts(lo, hi, 200).points)) == list(map(repr, want))
 
 
 @pytest.mark.parametrize("corner", [1e308, math.inf])
 def test_mc_extreme_box_corners_escape_without_error(corner):
     # Overflow gives inf or NaN states, which the escape test catches.
     cfg = SimConfig(initial=Point2(0.0, 0.0), steps=700, seed=0)
-    box = BoxSampler(-corner, corner, -corner, corner)
+    starts = PointSet((
+        Point2(-corner, -corner), Point2(corner, -corner), Point2(-corner, corner),
+        Point2(corner, corner), Point2(math.inf, math.inf), Point2(math.nan, math.nan),
+    ))
     for params, schedule in (
         (henon(), Constant(0.44)),
         (lozi(), Stochastic(ControlChannel(0.5, 0.2, NoiseDist.UNIFORM_M1P1))),
     ):
-        assert mc_convergence(params, PLUS, schedule, box, 20, cfg).fraction == 0.0
+        assert mc_convergence(params, PLUS, schedule, starts, 20, cfg).fraction == 0.0
 
 
 def test_box_sampler_validation():
-    with pytest.raises(ValueError):
-        BoxSampler(1.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         PointSet(())
 
