@@ -66,6 +66,7 @@ from .sim import (
     SweepCell,
     SweepResult,
     Trajectory,
+    alpha_grid,
     bifurcation_sweep,
     classify_tail,
     collapse_alpha,

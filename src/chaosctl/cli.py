@@ -10,10 +10,13 @@ messages go to stderr only.
 Each handler returns its output as an iterable of text chunks, and CSV is
 written as it is formatted: `bifurcation` yields one chunk per alpha, so its
 text is never held whole.  Its sweep still finishes before the first row is
-written, because the `# escaped_cells:` header needs the full count, and
-holds each cell meanwhile as one repeating unit of doubles; an error in the
-sweep therefore writes nothing.  A reader that closes stdout early
-(`| head`) ends the output quietly.
+written, because the `# escaped_cells:` header needs the full count; an
+error in the sweep therefore writes nothing.  The sweep runs one alpha row
+at a time, and each row's cells go as raw doubles to an anonymous temp file
+in the system temp directory, read back once the header is out, so memory
+holds one row of cells, not the grid.  A temp file that cannot be created
+or written exits 1 with a one-line message.  A reader that closes stdout
+early (`| head`) ends the output quietly.
 
 One parser serves every command of a process: it is built on the first
 parse and reused, and `repro` parses its preset with it too.
@@ -39,7 +42,7 @@ cannot be written, 2 usage errors (including a non-finite --x0/--y0, a
 
 Startup imports only what every command shares: the acceptance table
 (`chaosctl.verify`) loads on the first `verify`, and `tempfile` on the
-first --out.
+first --out or `bifurcation`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import math
 import os
 import re
 import sys
+from array import array
 from typing import Iterable, Iterator
 
 from .control import ControlChannel, InvalidControl, NoiseDist, Stochastic
@@ -62,6 +66,8 @@ from .sim import (
     PointSet,
     SimConfig,
     SweepCell,
+    SweepResult,
+    alpha_grid,
     bifurcation_sweep,
     default_init_grid,
     limit_set,
@@ -338,34 +344,71 @@ def _cmd_simulate(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
-    lo, hi, n_alpha = args.alpha_range
     cfg = _config(args, Point2(0.1, 0.1))
-    res = bifurcation_sweep(
-        _params(args),
-        _branch(args),
-        _channel2(args),
-        lo,
-        hi,
-        n_alpha,
-        default_init_grid(args.inits),
-        cfg,
-        ell1=args.ell1,
-        dist1=NoiseDist(args.dist1),
-        threads=args.threads,
+    params, branch, ch2 = _params(args), _branch(args), _channel2(args)
+    inits = default_init_grid(args.inits)
+    lo, hi, n_alpha = args.alpha_range
+    rows = (
+        bifurcation_sweep(
+            params, branch, ch2, (alpha,), inits, cfg,
+            ell1=args.ell1, dist1=NoiseDist(args.dist1), threads=args.threads,
+            first_stream=r * len(inits),
+        )
+        for r, alpha in enumerate(alpha_grid(lo, hi, n_alpha))
     )
-    header = f"{_args_line(args)}\n# escaped_cells: {res.escaped_cells}\nalpha,x\n"
-    return itertools.chain([header], _bifurcation_rows(res)), 0
+    chunks = _bifurcation_csv(_args_line(args), rows)
+    try:
+        header = next(chunks)  # the whole sweep runs here, so an error in it writes nothing
+    except OSError as e:
+        print(f"chaosctl: cannot write the sweep's temp file: {e.strerror or e}", file=sys.stderr)
+        raise SystemExit(1) from None
+    return itertools.chain([header], chunks), 0
 
 
-def _bifurcation_rows(res) -> Iterator[str]:
-    """One chunk of `alpha,x` rows per alpha with a cell that did not escape."""
-    per_alpha = len(res.cells) // len(res.alphas)
-    for i, alpha in enumerate(res.alphas):
-        prefix = _fmt(alpha) + ","
-        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
-        text = "".join(_cell_rows(prefix, cell) for cell in cells if cell)
-        if text:
-            yield text
+def _bifurcation_csv(args_line: str, rows: Iterable[SweepResult]) -> Iterator[str]:
+    """The bifurcation CSV of a sweep given as consecutive rows: its header,
+    then one chunk of `alpha,x` rows per alpha with a cell that did not escape.
+
+    The header's `# escaped_cells:` count is known only once every row has
+    run, so each row's cell units go to an anonymous temp file as raw
+    doubles as the row comes in, and memory keeps only an index of each
+    cell's unit length, 0 for an escaped cell, and tail length.  The cells
+    are read back in order once the header is out.  At most one row of
+    cells is held at a time, and the spool is closed however the output
+    ends: when it is written whole, when a chunk fails, or when the reader
+    stops asking for chunks.
+    """
+    import tempfile  # loaded by the first sweep, not at startup
+
+    alphas: list[float] = []
+    lengths, counts = array("I"), array("I")
+    with tempfile.TemporaryFile() as spool:
+        for row in rows:
+            alphas += row.alphas
+            for cell in row.cells:
+                lengths.append(len(cell.unit) if cell else 0)
+                counts.append(cell.count if cell else 0)
+                if cell:
+                    cell.unit.tofile(spool)
+        yield f"{args_line}\n# escaped_cells: {lengths.count(0)}\nalpha,x\n"
+        spool.seek(0)
+        per_alpha = len(lengths) // len(alphas)
+        for i, alpha in enumerate(alphas):
+            prefix = _fmt(alpha) + ","
+            text = "".join(
+                _cell_rows(prefix, _read_cell(spool, lengths[k], counts[k]))
+                for k in range(i * per_alpha, (i + 1) * per_alpha)
+                if lengths[k]
+            )
+            if text:
+                yield text
+
+
+def _read_cell(spool, length: int, count: int) -> SweepCell:
+    """The next cell of the spool: a unit of length doubles, repeated to count."""
+    unit = array("d")
+    unit.fromfile(spool, length)
+    return SweepCell(unit, count)
 
 
 def _cell_rows(prefix: str, cell: SweepCell) -> str:

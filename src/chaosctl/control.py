@@ -153,17 +153,18 @@ def _chunk_sizes(steps: Optional[int]) -> Iterator[int]:
     """Pairs in each successive chunk of a stream that `steps` values are read from.
 
     The sizes double from _FIRST_CHUNK up to _CHUNK_CAP, endlessly when
-    steps is None.  Otherwise each is at most the least _FIRST_CHUNK * 2^k
-    that covers the steps left, and the sizes end once they cover steps:
-    no pair past the run's last step is drawn, and every size stays one of
-    the few that `_lanes` caches.  A 700-step run draws 32 + 64 + 128 +
-    256 + 256 = 736 pairs, not 992.  Every size is at least 2, so an
-    `itemgetter` of a chunk's indices returns a tuple, not a bare item.
+    steps is None.  Otherwise each is at most the least power of two that
+    covers the steps left, and at least 2, and the sizes end once they
+    cover steps: no pair past the run's last step is drawn, and every size
+    stays one of the few powers of two that `_lanes` caches.  A 700-step
+    run draws 32 + 64 + 128 + 256 + 256 = 736 pairs, not 992, and a 1-step
+    run 2, not 32.  Every size is at least 2, so an `itemgetter` of a
+    chunk's indices returns a tuple, not a bare item.
     """
     pairs = _FIRST_CHUNK
     while steps is None or steps > 0:
         if steps is not None:
-            pairs = min(pairs, _FIRST_CHUNK << ((steps - 1) // _FIRST_CHUNK).bit_length())
+            pairs = min(pairs, 1 << (max(steps, 2) - 1).bit_length())
             steps -= pairs
         yield pairs
         pairs = min(2 * pairs, _CHUNK_CAP)

@@ -7,8 +7,11 @@ pre-assigned noise streams and aggregates results by task index.  Batches
 run serially by default; `threads` > 1 opts into a thread pool, and the
 output is identical either way.  `concurrent.futures` is imported by the
 first batch that starts the pool, so a serial run never loads it.
-`collapse_alpha` runs the cells of `bifurcation_sweep` one alpha at a time
-from the top of the grid down and stops at the first alpha that has not
+`bifurcation_sweep` runs the alphas it is given, as rows of cells on the
+noise streams of their place in the grid from `first_stream` on, so a grid
+swept one row per call gives the cells of one call over the whole grid.
+`collapse_alpha` sweeps the rows of `alpha_grid` one call at a time from
+the top of the grid down and stops at the first alpha that has not
 collapsed.
 
 Every record here is an immutable named tuple.  The outcomes `Converged`,
@@ -45,7 +48,8 @@ its limit set, or else the engine's unit.  `Trajectory.points` and a limit
 set are the unit expanded, and the engine's own list when nothing repeats.
 A sweep cell keeps only the unit's x values, as a `SweepCell` of doubles
 and the tail's length, so a sweep holds 8 bytes a unit value and no float
-objects while it runs.  Monte Carlo trials read only the outcome and
+objects; a caller that sweeps one row at a time, as `chaosctl bifurcation`
+does, holds one row's cells.  Monte Carlo trials read only the outcome and
 record nothing.
 
 One convergence rule serves the engine and the classifier: a run converges
@@ -553,7 +557,8 @@ class SweepResult(NamedTuple):
     index, initial index); cells[i * n_inits + j] started at initial state j
     under alphas[i].  A cell costs 8 bytes a unit value and about 150 bytes
     of headers: about 1.7 KB for a noisy 200-value tail, 0.15 KB for a
-    converged cell.
+    converged cell.  A result holds the cells of the alphas it was swept
+    over, so a sweep run one alpha per call holds one row of them.
     """
 
     alphas: tuple[float, ...]
@@ -572,7 +577,7 @@ def default_init_grid(n: int = 20) -> list[Point2]:
     ]
 
 
-def _alpha_grid(alpha_lo: float, alpha_hi: float, n_alpha: int) -> tuple[float, ...]:
+def alpha_grid(alpha_lo: float, alpha_hi: float, n_alpha: int) -> tuple[float, ...]:
     """n_alpha evenly spaced channel-1 intensities from alpha_lo to alpha_hi."""
     if not 0.0 <= alpha_lo < alpha_hi < 1.0:
         raise ValueError(f"need 0 <= lo < hi < 1, got {alpha_lo}, {alpha_hi}")
@@ -583,60 +588,45 @@ def _alpha_grid(alpha_lo: float, alpha_hi: float, n_alpha: int) -> tuple[float, 
     return tuple(alpha_lo + span * i / (n_alpha - 1) for i in range(n_alpha - 1)) + (alpha_hi,)
 
 
-def _sweep_cell(
+def bifurcation_sweep(
     params: MapParams,
     branch: Branch,
     ch2: ControlChannel,
     alphas: tuple[float, ...],
     inits: list[Point2],
     cfg: SimConfig,
-    ell1: float,
-    dist1: NoiseDist,
-) -> Callable[[int], Optional[SweepCell]]:
-    """The cell runner of a sweep: cell k = i * len(inits) + j starts at
-    inits[j] under alphas[i] on noise stream k and gives its tail x values
-    as a SweepCell, or None if it escaped."""
+    ell1: float = 0.0,
+    dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
+    threads: Optional[int] = None,
+    first_stream: int = 0,
+) -> SweepResult:
+    """Tail states against the channel-1 control intensity, for the given alphas.
+
+    For each alpha and each initial state, runs one trajectory and keeps x
+    of its record_tail post-transient states as a SweepCell.  Cell j of row
+    r starts at inits[j] under alphas[r] on noise stream first_stream +
+    r * len(inits) + j, so the rows of `alpha_grid(lo, hi, n)` swept one
+    call at a time, row r with first_stream = r * len(inits), give the
+    cells of the one call over the whole grid.  Cells that converged early
+    keep their final state repeatedly -- that is their limit set; escaped
+    cells keep nothing and are counted.
+    """
     if not inits:
         raise ValueError("need at least one initial state")
+    alphas = tuple(alphas)
     target = fixed_point(params, branch)
     n_inits = len(inits)
 
     def run_cell(k: int) -> Optional[SweepCell]:
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
-        unit = _cell(params, target, schedule, cfg, inits[j], k)
+        unit = _cell(params, target, schedule, cfg, inits[j], first_stream + k)
         if unit is None:
             return None
         # a list, not an iterator, sizes the array exactly
         return SweepCell(array("d", [x for x, _ in unit]), cfg.record_tail)
 
-    return run_cell
-
-
-def bifurcation_sweep(
-    params: MapParams,
-    branch: Branch,
-    ch2: ControlChannel,
-    alpha_lo: float,
-    alpha_hi: float,
-    n_alpha: int,
-    inits: list[Point2],
-    cfg: SimConfig,
-    ell1: float = 0.0,
-    dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
-    threads: Optional[int] = None,
-) -> SweepResult:
-    """Tail states against the channel-1 control intensity.
-
-    For each of n_alpha evenly spaced alphas and each initial state, runs one
-    trajectory (cell stream = alpha index * len(inits) + initial index) and
-    keeps x of its record_tail post-transient states as a SweepCell.  Cells
-    that converged early keep their final state repeatedly -- that is their
-    limit set; escaped cells keep nothing and are counted.
-    """
-    alphas = _alpha_grid(alpha_lo, alpha_hi, n_alpha)
-    run_cell = _sweep_cell(params, branch, ch2, alphas, inits, cfg, ell1, dist1)
-    cells = _parallel_map(run_cell, n_alpha * len(inits), threads)
+    cells = _parallel_map(run_cell, len(alphas) * n_inits, threads)
     return SweepResult(alphas, cells, sum(cell is None for cell in cells))
 
 
@@ -653,27 +643,25 @@ def collapse_alpha(
     dist1: NoiseDist = NoiseDist.BERNOULLI_PM1,
     threads: Optional[int] = None,
 ) -> Optional[float]:
-    """Smallest alpha of the sweep grid from which every larger alpha has a
-    single-point tail, or None when the top alpha has not collapsed.
+    """Smallest alpha of `alpha_grid(alpha_lo, alpha_hi, n_alpha)` from which
+    every larger alpha has a single-point tail, or None when the top alpha
+    has not collapsed.
 
     An alpha has collapsed when the x-spread over the last COLLAPSE_WINDOW
     tail points of its cells that did not escape stays below COLLAPSE_TOL;
-    an alpha whose cells all escaped has not.  The grid and every cell are
-    those of `bifurcation_sweep` with the same arguments, but the search
-    walks the grid from the top down and stops at the first alpha that has
-    not collapsed, so the cells below it never run.
+    an alpha whose cells all escaped has not.  Each alpha's cells are one
+    row of `bifurcation_sweep` on the streams of the whole grid's sweep,
+    but the search walks the grid from the top down and stops at the first
+    alpha that has not collapsed, so the rows below it never run.
     """
-    alphas = _alpha_grid(alpha_lo, alpha_hi, n_alpha)
-    run_cell = _sweep_cell(params, branch, ch2, alphas, inits, cfg, ell1, dist1)
-    n_inits = len(inits)
+    alphas = alpha_grid(alpha_lo, alpha_hi, n_alpha)
     found = None
     for i in reversed(range(n_alpha)):
-        first = i * n_inits
-        tails = [
-            _repeat(*cell)[-COLLAPSE_WINDOW:]
-            for cell in _parallel_map(lambda j: run_cell(first + j), n_inits, threads)
-            if cell is not None
-        ]
+        row = bifurcation_sweep(
+            params, branch, ch2, alphas[i : i + 1], inits, cfg, ell1, dist1, threads,
+            first_stream=i * len(inits),
+        )
+        tails = [_repeat(*cell)[-COLLAPSE_WINDOW:] for cell in row.cells if cell is not None]
         if not tails or max(map(max, tails)) - min(map(min, tails)) >= COLLAPSE_TOL:
             break
         found = alphas[i]

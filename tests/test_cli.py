@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from array import array
 
 import pytest
@@ -22,12 +24,14 @@ from chaosctl import (
     Point2,
     SweepCell,
     SweepResult,
+    alpha_grid,
     bifurcation_sweep,
     cli,
     default_init_grid,
     limit_set,
     run_trajectory,
 )
+from chaosctl.sim import RECORD_TAIL
 from chaosctl.verify import CheckRow
 
 
@@ -515,7 +519,8 @@ def _single_join_reference(argv):
     res = bifurcation_sweep(
         cli._params(args), cli._branch(args),
         ControlChannel(args.alpha2, args.ell2, NoiseDist(args.dist2)),
-        lo, hi, n_alpha, default_init_grid(args.inits), cli._config(args, Point2(0.1, 0.1)),
+        alpha_grid(lo, hi, n_alpha), default_init_grid(args.inits),
+        cli._config(args, Point2(0.1, 0.1)),
         ell1=args.ell1, dist1=NoiseDist(args.dist1),
     )
     lines = [cli._args_line(args), f"# escaped_cells: {res.escaped_cells}", "alpha,x"]
@@ -571,6 +576,19 @@ def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_init
         assert {line.split(",")[0] for line in chunk.splitlines()} == {repr(alpha)}
 
 
+def _spooled_rows(res):
+    """The row chunks that the spooled CSV writer renders from res, fed to it
+    one alpha row at a time, after checking its header."""
+    per_alpha = len(res.cells) // len(res.alphas)
+    rows = []
+    for i, alpha in enumerate(res.alphas):
+        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
+        rows.append(SweepResult((alpha,), cells, sum(cell is None for cell in cells)))
+    header, *chunks = cli._bifurcation_csv("# args: bifurcation", rows)
+    assert header == f"# args: bifurcation\n# escaped_cells: {res.escaped_cells}\nalpha,x\n"
+    return chunks
+
+
 def test_bifurcation_rows_bytes():
     # Signed zeros share an alpha and a unit (0.0 == -0.0, but their reprs
     # differ), units repeat whole and in part, some cells escaped, and every
@@ -585,7 +603,7 @@ def test_bifurcation_rows_bytes():
         ],
         escaped_cells=5,
     )
-    chunks = list(cli._bifurcation_rows(res))
+    chunks = _spooled_rows(res)
     reference = [
         "".join(f"{alpha!r},{x!r}\n" for cell in res.cells[3 * i : 3 * i + 3]
                 for x in _values(cell))
@@ -651,15 +669,16 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
-def test_out_keeps_old_file_when_a_chunk_fails(tmp_path, capsys, monkeypatch):
-    rows = cli._bifurcation_rows
+def test_out_keeps_old_file_when_a_chunk_fails(tmp_path, capsys, monkeypatch, spools):
+    csv = cli._bifurcation_csv
 
-    def fail_after_first(res):
-        chunks = rows(res)
+    def fail_after_first_row(args_line, rows):
+        chunks = csv(args_line, rows)
+        yield next(chunks)  # the header
         yield next(chunks)
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_bifurcation_rows", fail_after_first)
+    monkeypatch.setattr(cli, "_bifurcation_csv", fail_after_first_row)
     path = tmp_path / "bif.csv"
     path.write_bytes(b"old bytes\n")
     rc, out, err = run_cli(
@@ -672,6 +691,7 @@ def test_out_keeps_old_file_when_a_chunk_fails(tmp_path, capsys, monkeypatch):
     assert err == f"chaosctl: cannot write {path}: No space left on device\n"
     assert path.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["bif.csv"]
+    assert len(spools) == 1 and spools[0].closed
 
 
 @pytest.mark.parametrize("out", [False, True])
@@ -684,6 +704,117 @@ def test_sweep_error_writes_nothing(out, tmp_path, capsys):
     assert stdout == ""
     assert err == "chaosctl: need 0 <= lo < hi < 1, got 0.6, 0.4\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """Every temp file that `tempfile.TemporaryFile` makes from here on."""
+    made = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
+
+
+_SMALL_SWEEP = ["bifurcation", "--map", "henon", "--alpha-range", "0.5:0.6:4", "--inits", "2"]
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_error_inside_the_sweep_writes_nothing_and_closes_the_spool(out, tmp_path, capsys,
+                                                                   spools):
+    # a channel-1 amplitude is checked per cell, so this fails in the first row
+    argv = _SMALL_SWEEP + ["--ell1", "-0.5"]
+    if out:
+        argv += ["--out", str(tmp_path / "bif.csv")]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert (rc, stdout) == (1, "")
+    assert err == "chaosctl: noise amplitude must be >= 0, got -0.5\n"
+    assert os.listdir(tmp_path) == []
+    assert len(spools) == 1 and spools[0].closed
+
+
+def test_spool_is_closed_after_a_whole_run_and_an_unwritable_out(tmp_path, capsys, spools):
+    assert cli.render(_SMALL_SWEEP).startswith("# args: bifurcation ")
+    rc, stdout, err = run_cli(_SMALL_SWEEP + ["--out", str(tmp_path / "no" / "bif.csv")],
+                              capsys)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("chaosctl: cannot write ") and err.count("\n") == 1
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
+
+
+def test_spool_is_closed_when_the_reader_stops_early(spools):
+    # a pipe whose read end is closed: the first flush raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
+        assert cli.run_command(_SMALL_SWEEP) == 0
+    assert len(spools) == 1 and spools[0].closed
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_unusable_temp_directory_exits_1_and_leaves_nothing(out, tmp_path, capsys,
+                                                           monkeypatch):
+    not_a_directory = tmp_path / "file"
+    not_a_directory.write_bytes(b"")
+    monkeypatch.setattr(tempfile, "tempdir", str(not_a_directory))
+    argv = list(_SMALL_SWEEP)
+    if out:
+        (tmp_path / "bif.csv").write_bytes(b"old bytes\n")
+        argv += ["--out", str(tmp_path / "bif.csv")]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert (rc, stdout) == (1, "")
+    assert err == "chaosctl: cannot write the sweep's temp file: Not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == (["bif.csv", "file"] if out else ["file"])
+    assert not_a_directory.read_bytes() == b""
+    if out:
+        assert (tmp_path / "bif.csv").read_bytes() == b"old bytes\n"
+
+
+def test_spool_that_cannot_be_written_exits_1(capsys, monkeypatch):
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    made = []
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: made.append(FullDisk()) or made[-1])
+    rc, stdout, err = run_cli(_SMALL_SWEEP, capsys)
+    assert (rc, stdout) == (1, "")
+    assert err == "chaosctl: cannot write the sweep's temp file: No space left on device\n"
+    assert len(made) == 1 and made[0].closed
+
+
+#: The bound on how much the traced peak of a sweep may grow with its
+#: alphas, stated before it was measured: one row's cells, that is the
+#: doubles of 10 noisy 200-value tails, 16 000 bytes.  A sweep that keeps
+#: every cell until it ends grows by 30 rows of them from 10 to 40 alphas.
+_ROW_BYTES = 10 * RECORD_TAIL * 8
+
+
+def test_bifurcation_memory_grows_by_less_than_a_row_with_the_alphas(tmp_path, capsys):
+    # the uncontrolled end of the Henon diagram: every cell is a chaotic
+    # 200-value tail under a constant schedule, so no row is lighter
+    def argv(n_alpha):
+        return ["bifurcation", "--map", "henon", "--alpha-range", f"0.0:0.1:{n_alpha}",
+                "--inits", "10", "--out", str(tmp_path / "bif.csv")]
+
+    def traced_peak(n_alpha):
+        tracemalloc.start()
+        try:
+            assert cli.run_command(argv(n_alpha)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cli.run_command(argv(40))  # compiles the kernel and fills the caches
+    small, large = traced_peak(10), traced_peak(40)
+    with open(tmp_path / "bif.csv", encoding="utf-8") as fh:
+        assert fh.read().split("\n", 2)[1] == "# escaped_cells: 0"
+    capsys.readouterr()
+    assert large - small < _ROW_BYTES
 
 
 def test_limitset_csv(capsys):
@@ -906,7 +1037,7 @@ def test_bifurcation_rows_equal_plain_repr(cells, per_alpha):
                 for x in _values(cell))
         for i, alpha in enumerate(alphas)
     ]
-    assert list(cli._bifurcation_rows(res)) == [chunk for chunk in plain if chunk]
+    assert _spooled_rows(res) == [chunk for chunk in plain if chunk]
 
 
 _pair = st.tuples(_value, _value)

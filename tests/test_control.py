@@ -306,10 +306,10 @@ _BOUNDARY_SCHEDULES = {
     "bernoulli-two": Stochastic(ControlChannel(0.27, 0.2), ControlChannel(0.9, 0.55)),
     "uniform-one": Stochastic(ControlChannel(0.2, 0.2, NoiseDist.UNIFORM_M1P1), ControlChannel(0.9)),
 }
-_CHUNK_SIZES = {32 << k for k in range(6)}  # 32, 64, ..., 1024
+_CHUNK_SIZES = {2 << k for k in range(10)}  # 2, 4, ..., 1024
 
 
-@pytest.mark.parametrize("steps", [1, 31, 32, 33, 95, 96, 97, 700, 2000])
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 31, 32, 33, 34, 40, 95, 96, 97, 700, 2000])
 @pytest.mark.parametrize("name", sorted(_BOUNDARY_SCHEDULES))
 @pytest.mark.parametrize("target", [None, Point2(0.63, 0.19)], ids=["pairs", "coefficients"])
 def test_control_pairs_with_steps_match_control_at_step(name, steps, target):
@@ -371,13 +371,29 @@ def test_chunk_sizes_cover_the_steps_without_a_new_size(steps):
     sizes = list(islice(_chunk_sizes(steps), 40))
     assert set(sizes) <= _CHUNK_SIZES
     if steps is None:
-        assert sizes[:6] == sorted(_CHUNK_SIZES) and set(sizes[6:]) == {1024}
+        assert sizes[:6] == [32 << k for k in range(6)] and set(sizes[6:]) == {1024}
     else:
         # the last chunk is the least size that covers the steps left
         left = steps - sum(sizes[:-1])
         assert 0 < left <= sizes[-1]
         assert sizes[-1] == min(size for size in _CHUNK_SIZES if size >= left)
     assert sum(_chunk_sizes(700)) == 736
+
+
+@pytest.mark.parametrize("steps", range(1, 71))
+def test_chunk_sizes_follow_the_steps_left(steps):
+    # each size is the least power of two >= max(steps left, 2), capped by
+    # the doubling from the first chunk
+    sizes, left, cap = [], steps, 32
+    while left > 0:
+        size = min(cap, 1 << (max(left, 2) - 1).bit_length())
+        assert size >= 2 and size & (size - 1) == 0
+        sizes.append(size)
+        left -= size
+        cap *= 2
+    assert list(_chunk_sizes(steps)) == sizes
+    # a stream shorter than the first chunk draws no first chunk's worth
+    assert sum(sizes) < 2 * steps + 2
 
 
 def test_verify_caches_lanes_of_chunk_sizes_only(monkeypatch):

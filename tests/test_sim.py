@@ -26,6 +26,7 @@ from chaosctl import (
     SimConfig,
     Stochastic,
     Trajectory,
+    alpha_grid,
     bifurcation_sweep,
     bounded_noise_safe,
     build_nu_model,
@@ -748,10 +749,16 @@ def _collapse_from_cells(res, n_inits):
     return want
 
 
+def _grid_sweep(params, branch, ch2, lo, hi, n_alpha, inits, cfg, **kwargs):
+    """The one-call sweep of the grid that `collapse_alpha` searches."""
+    return bifurcation_sweep(params, branch, ch2, alpha_grid(lo, hi, n_alpha), inits, cfg,
+                             **kwargs)
+
+
 def test_bifurcation_collapse_narrow(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     args = (henon_std, PLUS, ControlChannel(0.0), 0.49, 0.55, 60, default_init_grid(8), cfg)
-    res = bifurcation_sweep(*args)
+    res = _grid_sweep(*args)
     got = collapse_alpha(*args)
     assert got == pytest.approx(0.5164, abs=5e-3)
     assert got == _collapse_from_cells(res, 8)
@@ -782,8 +789,8 @@ def test_bifurcation_noise_lowers_collapse(lozi_std):
 def test_bifurcation_threads_bit_identical(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     args = (henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, default_init_grid(5), cfg)
-    serial = bifurcation_sweep(*args, ell1=0.1, threads=1)
-    parallel = bifurcation_sweep(*args, ell1=0.1, threads=4)
+    serial = _grid_sweep(*args, ell1=0.1, threads=1)
+    parallel = _grid_sweep(*args, ell1=0.1, threads=4)
     # the same units and counts, signs of zero included
     assert repr(serial.cells) == repr(parallel.cells)
     want = _collapse_from_cells(serial, 5)
@@ -805,7 +812,7 @@ def test_bifurcation_threads_bit_identical(henon_std):
 def test_collapse_alpha_outcomes(params, lo, hi, n_alpha, ell1, outcome, escaped):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     args = (params, PLUS, ControlChannel(0.0), lo, hi, n_alpha, default_init_grid(3), cfg)
-    res = bifurcation_sweep(*args, ell1=ell1)
+    res = _grid_sweep(*args, ell1=ell1)
     got = collapse_alpha(*args, ell1=ell1)
     assert got == _collapse_from_cells(res, 3)
     assert (res.escaped_cells > 0) == escaped
@@ -823,7 +830,7 @@ def test_threads_default_is_serial(henon_std, monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
-    bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 3,
+    bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), alpha_grid(0.4, 0.6, 3),
                       default_init_grid(2), cfg, ell1=0.1)
     mc_convergence(henon_std, PLUS, Constant(0.6), PointSet((Point2(0.3, 0.1),)), 3, cfg)
 
@@ -848,13 +855,44 @@ def test_sweep_cells_match_spread_collapse_and_csv(kind, a, lo, width, n_alpha, 
     args = cli._parse(argv)
     sweep_args = (cli._params(args), PLUS, ControlChannel(0.0), lo, lo + width, n_alpha,
                   default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)))
-    res = bifurcation_sweep(*sweep_args, ell1=ell1)
+    res = _grid_sweep(*sweep_args, ell1=ell1)
     assert len(res.cells) == n_alpha * n_inits
     assert res.escaped_cells == sum(cell is None for cell in res.cells)
     assert collapse_alpha(*sweep_args, ell1=ell1) == _collapse_from_cells(res, n_inits)
     rows = cli.render(argv).splitlines()[3:]
     assert rows == [f"{res.alphas[k // n_inits]!r},{x!r}"
                     for k, cell in enumerate(res.cells) for x in _values(cell) or ()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    params=st.sampled_from([henon(), lozi()]),
+    lo=st.floats(0.0, 0.6),
+    width=st.floats(0.01, 0.3),
+    n_alpha=st.integers(2, 5),
+    n_inits=st.integers(1, 4),
+    ell1=st.sampled_from([0.0, 0.1, 0.3]),
+    alpha2=st.sampled_from([0.0, 0.8]),
+    steps=st.one_of(st.integers(1, 60), st.integers(61, 800)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rows_swept_one_call_each_equal_the_grid_sweep(params, lo, width, n_alpha, n_inits,
+                                                      ell1, alpha2, steps, seed):
+    # a constant schedule (ell1 = 0) or Bernoulli noise on channel 1, on
+    # either map: row r on streams from r * n_inits is the grid's row r
+    cfg = SimConfig(initial=Point2(0.1, 0.1), steps=steps, seed=seed)
+    alphas = alpha_grid(lo, lo + width, n_alpha)
+    inits = default_init_grid(n_inits)
+    args = (params, PLUS, ControlChannel(alpha2))
+    whole = bifurcation_sweep(*args, alphas, inits, cfg, ell1=ell1)
+    rows = [
+        bifurcation_sweep(*args, (alpha,), inits, cfg, ell1=ell1, first_stream=r * n_inits)
+        for r, alpha in enumerate(alphas)
+    ]
+    assert tuple(alpha for row in rows for alpha in row.alphas) == whole.alphas
+    # the same units and counts, signs of zero included
+    assert repr([cell for row in rows for cell in row.cells]) == repr(whole.cells)
+    assert sum(row.escaped_cells for row in rows) == whole.escaped_cells
 
 
 #: Bytes a finished sweep may retain per cell.  A cell keeps its unit of
@@ -867,7 +905,7 @@ _CELL_BYTES = 1536
 def test_sweep_retains_units_of_doubles(henon_std):
     # fig8b's sweep (Bernoulli noise on channel 1, 0.8 y-control), cut to
     # 10 alphas x 10 initial states
-    args = (henon_std, PLUS, ControlChannel(0.8), 0.3, 0.6, 10, default_init_grid(10),
+    args = (henon_std, PLUS, ControlChannel(0.8), alpha_grid(0.3, 0.6, 10), default_init_grid(10),
             SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0))
     bifurcation_sweep(*args, ell1=0.2861)  # compiles the kernels and fills the caches
     tracemalloc.start()
@@ -916,9 +954,8 @@ def _cell_matches_reference(params, branch, schedule, cfg):
     tail = _reference_limit_set(params, branch, schedule, cfg)
     assert repr(limit_set(params, branch, schedule, cfg)) == repr(tail)
     ch1 = schedule.ch1
-    run_cell = sim._sweep_cell(params, branch, schedule.ch2, (ch1.alpha,), [cfg.initial], cfg,
-                               ch1.ell, ch1.dist)
-    cell = run_cell(0)
+    (cell,) = bifurcation_sweep(params, branch, schedule.ch2, (ch1.alpha,), [cfg.initial], cfg,
+                                ch1.ell, ch1.dist).cells
     if not tail:
         assert cell is None
         return None
@@ -975,7 +1012,7 @@ def test_cell_matches_the_step_reference(run):
 def test_alpha_grid_stays_in_its_range(bounds, n_alpha):
     # lo + (hi - lo) * i / (n - 1) rounds above hi at the top of these examples
     lo, hi = bounds
-    alphas = sim._alpha_grid(lo, hi, n_alpha)
+    alphas = alpha_grid(lo, hi, n_alpha)
     assert len(alphas) == n_alpha and alphas[0] == lo and alphas[-1] == hi
     assert all(lo <= a <= b <= hi for a, b in zip(alphas, alphas[1:]))
 
@@ -983,10 +1020,12 @@ def test_alpha_grid_stays_in_its_range(bounds, n_alpha):
 def test_bifurcation_input_validation(henon_std):
     cfg = SimConfig(initial=Point2(0.1, 0.1), steps=700, seed=0)
     with pytest.raises(ValueError):
-        bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), 0.6, 0.4, 10,
-                          default_init_grid(3), cfg)
+        alpha_grid(0.6, 0.4, 10)
     with pytest.raises(ValueError):
-        bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 10, [], cfg)
+        alpha_grid(0.4, 0.6, 1)
+    with pytest.raises(ValueError):
+        bifurcation_sweep(henon_std, PLUS, ControlChannel(0.0), alpha_grid(0.4, 0.6, 10), [],
+                          cfg)
 
 
 # --- limit sets -----------------------------------------------------------------
