@@ -63,7 +63,6 @@ from .sim import (
     Periodic,
     PointSet,
     SimConfig,
-    SweepCell,
     SweepResult,
     Trajectory,
     alpha_grid,

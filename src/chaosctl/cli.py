@@ -3,9 +3,11 @@
 Subcommands produce either a single `name,value` line on stdout (threshold,
 explog, minnoise) or CSV data (simulate, bifurcation, limitset, montecarlo,
 repro).  CSV goes to stdout unless --out is given.  A regular or new --out
-file is written atomically (temp file + rename); a device, FIFO or other
-node that is not a regular file is written in place.  Status and error
-messages go to stderr only.
+file is written atomically (temp file + rename), with the mode of the file
+it replaces or, if new, the mode `open()` would give it; a device, FIFO or
+other node that is not a regular file is written in place.  A symlink is
+written through to its target.  Status and error messages go to stderr
+only.
 
 Each handler returns its output as an iterable of text chunks, and CSV is
 written as it is formatted: `bifurcation` yields one chunk per alpha, so its
@@ -13,10 +15,11 @@ text is never held whole.  Its sweep still finishes before the first row is
 written, because the `# escaped_cells:` header needs the full count; an
 error in the sweep therefore writes nothing.  The sweep runs one alpha row
 at a time, and each row's cells go as raw doubles to an anonymous temp file
-in the system temp directory, read back once the header is out, so memory
-holds one row of cells, not the grid.  A temp file that cannot be created
-or written exits 1 with a one-line message.  A reader that closes stdout
-early (`| head`) ends the output quietly.
+in the system temp directory, flushed before the header and read back once
+it is out, so memory holds one row of cells, not the grid.  A temp file
+that cannot be created or written exits 1 with a one-line message and no
+output.  A reader that closes stdout early (`| head`) ends the output
+quietly.
 
 One parser serves every command of a process: it is built on the first
 parse and reused, and `repro` parses its preset with it too.
@@ -42,7 +45,7 @@ cannot be written, 2 usage errors (including a non-finite --x0/--y0, a
 
 Startup imports only what every command shares: the acceptance table
 (`chaosctl.verify`) loads on the first `verify`, and `tempfile` on the
-first --out or `bifurcation`.
+first `bifurcation`.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
 from array import array
 from typing import Iterable, Iterator
@@ -65,7 +69,6 @@ from .sim import (
     PERIOD_MAX,
     PointSet,
     SimConfig,
-    SweepCell,
     SweepResult,
     alpha_grid,
     bifurcation_sweep,
@@ -356,7 +359,7 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
         )
         for r, alpha in enumerate(alpha_grid(lo, hi, n_alpha))
     )
-    chunks = _bifurcation_csv(_args_line(args), rows)
+    chunks = _bifurcation_csv(_args_line(args), rows, cfg.record_tail)
     try:
         header = next(chunks)  # the whole sweep runs here, so an error in it writes nothing
     except OSError as e:
@@ -365,15 +368,17 @@ def _cmd_bifurcation(args) -> tuple[Iterable[str], int]:
     return itertools.chain([header], chunks), 0
 
 
-def _bifurcation_csv(args_line: str, rows: Iterable[SweepResult]) -> Iterator[str]:
-    """The bifurcation CSV of a sweep given as consecutive rows: its header,
-    then one chunk of `alpha,x` rows per alpha with a cell that did not escape.
+def _bifurcation_csv(args_line: str, rows: Iterable[SweepResult], tail: int) -> Iterator[str]:
+    """The bifurcation CSV of a sweep given as consecutive rows, each cell's
+    unit repeated to tail values: its header, then one chunk of `alpha,x`
+    rows per alpha with a cell that did not escape.
 
     The header's `# escaped_cells:` count is known only once every row has
     run, so each row's cell units go to an anonymous temp file as raw
-    doubles as the row comes in, and memory keeps only an index of each
-    cell's unit length, 0 for an escaped cell, and tail length.  The cells
-    are read back in order once the header is out.  At most one row of
+    doubles as the row comes in, and memory keeps only an index of one unit
+    length per cell, 0 for an escaped cell.  The spool is flushed before the
+    header is yielded, so a temp file that cannot be written fails before
+    any output; the units are then read back in order.  At most one row of
     cells is held at a time, and the spool is closed however the output
     ends: when it is written whole, when a chunk fails, or when the reader
     stops asking for chunks.
@@ -381,45 +386,38 @@ def _bifurcation_csv(args_line: str, rows: Iterable[SweepResult]) -> Iterator[st
     import tempfile  # loaded by the first sweep, not at startup
 
     alphas: list[float] = []
-    lengths, counts = array("I"), array("I")
+    lengths = array("I")
     with tempfile.TemporaryFile() as spool:
         for row in rows:
             alphas += row.alphas
-            for cell in row.cells:
-                lengths.append(len(cell.unit) if cell else 0)
-                counts.append(cell.count if cell else 0)
-                if cell:
-                    cell.unit.tofile(spool)
+            for unit in row.cells:
+                lengths.append(len(unit) if unit else 0)
+                if unit:
+                    unit.tofile(spool)
+        spool.seek(0)  # flushes the spool's buffer: a full disk fails here
         yield f"{args_line}\n# escaped_cells: {lengths.count(0)}\nalpha,x\n"
-        spool.seek(0)
         per_alpha = len(lengths) // len(alphas)
         for i, alpha in enumerate(alphas):
             prefix = _fmt(alpha) + ","
-            text = "".join(
-                _cell_rows(prefix, _read_cell(spool, lengths[k], counts[k]))
-                for k in range(i * per_alpha, (i + 1) * per_alpha)
-                if lengths[k]
-            )
-            if text:
-                yield text
+            texts = []
+            for length in lengths[i * per_alpha : (i + 1) * per_alpha]:
+                if length:
+                    unit = array("d")
+                    unit.fromfile(spool, length)
+                    texts.append(_cell_rows(prefix, unit, tail))
+            if texts:
+                yield "".join(texts)
 
 
-def _read_cell(spool, length: int, count: int) -> SweepCell:
-    """The next cell of the spool: a unit of length doubles, repeated to count."""
-    unit = array("d")
-    unit.fromfile(spool, length)
-    return SweepCell(unit, count)
-
-
-def _cell_rows(prefix: str, cell: SweepCell) -> str:
+def _cell_rows(prefix: str, unit: array, count: int) -> str:
     """The rows of one sweep cell; prefix is the `alpha,` text.
 
-    The cell's tail is its unit repeated and cut to cell.count values, so
-    the unit's rows are formatted once, each value's repr (_fmt of a double)
+    The cell's tail is its unit repeated and cut to count values, so the
+    unit's rows are formatted once, each value's repr (_fmt of a double)
     from the value itself, and their text is repeated the same way.
     """
-    texts = list(map(repr, cell.unit))
-    whole, part = divmod(cell.count, len(texts))
+    texts = list(map(repr, unit))
+    whole, part = divmod(count, len(texts))
     sep = "\n" + prefix
     text = (prefix + sep.join(texts) + "\n") * whole
     if part:
@@ -513,20 +511,29 @@ _HANDLERS = {
 
 
 def _write_out(path: str, chunks: Iterable[str]) -> None:
-    """Write chunks to path: in place where path is a device, a FIFO or any
-    other node that is not a regular file, since a rename would replace the
-    node itself; else to a temp file beside it, renamed onto it when whole."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    """Write chunks to path, or through a symlink to its target: in place
+    where that is a device, a FIFO or any other node that is not a regular
+    file, since a rename would replace the node itself; else to a temp file
+    beside it, renamed onto it when whole.  The file keeps the mode of the
+    file it replaces; a new one gets 0o666 less the umask, as
+    `open(path, "w")` would create it."""
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         return
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".chaosctl-", dir=directory)
+    tmp = os.path.join(os.path.dirname(path), f".chaosctl-{os.urandom(8).hex()}")
+    # the kernel applies the umask to 0o666, leaving the process's umask as it is
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

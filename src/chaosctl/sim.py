@@ -46,10 +46,11 @@ is never expanded.  `_cell` reads a finished cell's tail through it:
 nothing for an escaped cell, the final state for a converged one, that is
 its limit set, or else the engine's unit.  `Trajectory.points` and a limit
 set are the unit expanded, and the engine's own list when nothing repeats.
-A sweep cell keeps only the unit's x values, as a `SweepCell` of doubles
-and the tail's length, so a sweep holds 8 bytes a unit value and no float
-objects; a caller that sweeps one row at a time, as `chaosctl bifurcation`
-does, holds one row's cells.  Monte Carlo trials read only the outcome and
+A sweep cell is only the unit's x values, an `array('d')`, so a sweep
+holds 8 bytes a unit value and no float objects; its tail is that unit
+repeated to the sweep's `cfg.record_tail` values, which the caller holds.
+A caller that sweeps one row at a time, as `chaosctl bifurcation` does,
+holds one row's cells.  Monte Carlo trials read only the outcome and
 record nothing.
 
 One convergence rule serves the engine and the classifier: a run converges
@@ -507,15 +508,6 @@ def run_trajectory(
     )
 
 
-class SweepCell(NamedTuple):
-    """The record_tail x values of a sweep cell's tail, kept as the x values
-    of its repeating unit: the tail is unit repeated end to end and cut to
-    count values."""
-
-    unit: array
-    count: int
-
-
 def _cell(
     params: MapParams,
     target: Point2,
@@ -552,18 +544,19 @@ def _parallel_map(fn: Callable[[int], object], n_items: int, threads: Optional[i
 class SweepResult(NamedTuple):
     """Bifurcation sweep output.
 
-    cells holds one SweepCell per cell, the tail x values as their repeating
-    unit of doubles, or None for a cell that escaped, ordered by (alpha
-    index, initial index); cells[i * n_inits + j] started at initial state j
-    under alphas[i].  A cell costs 8 bytes a unit value and about 150 bytes
-    of headers: about 1.7 KB for a noisy 200-value tail, 0.15 KB for a
-    converged cell.  A result holds the cells of the alphas it was swept
-    over, so a sweep run one alpha per call holds one row of them.
+    cells holds one cell per run, ordered by (alpha index, initial index):
+    cells[i * n_inits + j] started at initial state j under alphas[i].  A
+    cell is the x values of its tail's repeating unit, an `array('d')`, or
+    None for a cell that escaped; its tail is the unit repeated end to end
+    and cut to the sweep's `cfg.record_tail` values.  A cell costs 8 bytes a
+    unit value and about 80 bytes of header: about 1.7 KB for a noisy
+    200-value tail, 0.09 KB for a converged cell.  A result holds the cells
+    of the alphas it was swept over, so a sweep run one alpha per call holds
+    one row of them.
     """
 
     alphas: tuple[float, ...]
-    cells: list[Optional[SweepCell]]
-    escaped_cells: int
+    cells: list[Optional[array]]
 
 
 def default_init_grid(n: int = 20) -> list[Point2]:
@@ -602,14 +595,14 @@ def bifurcation_sweep(
 ) -> SweepResult:
     """Tail states against the channel-1 control intensity, for the given alphas.
 
-    For each alpha and each initial state, runs one trajectory and keeps x
-    of its record_tail post-transient states as a SweepCell.  Cell j of row
-    r starts at inits[j] under alphas[r] on noise stream first_stream +
-    r * len(inits) + j, so the rows of `alpha_grid(lo, hi, n)` swept one
-    call at a time, row r with first_stream = r * len(inits), give the
-    cells of the one call over the whole grid.  Cells that converged early
-    keep their final state repeatedly -- that is their limit set; escaped
-    cells keep nothing and are counted.
+    For each alpha and each initial state, runs one trajectory and keeps
+    the x values of its tail's repeating unit as one cell of doubles.  Cell
+    j of row r starts at inits[j] under alphas[r] on noise stream
+    first_stream + r * len(inits) + j, so the rows of an `alpha_grid`
+    swept one call at a time, row r with first_stream = r * len(inits),
+    give the cells of the one call over the whole grid.  A cell that converged early
+    keeps its final state as its unit -- that is its limit set; an escaped
+    cell is None.
     """
     if not inits:
         raise ValueError("need at least one initial state")
@@ -617,17 +610,14 @@ def bifurcation_sweep(
     target = fixed_point(params, branch)
     n_inits = len(inits)
 
-    def run_cell(k: int) -> Optional[SweepCell]:
+    def run_cell(k: int) -> Optional[array]:
         i, j = divmod(k, n_inits)
         schedule = Stochastic(ControlChannel(alphas[i], ell1, dist1), ch2)
         unit = _cell(params, target, schedule, cfg, inits[j], first_stream + k)
-        if unit is None:
-            return None
         # a list, not an iterator, sizes the array exactly
-        return SweepCell(array("d", [x for x, _ in unit]), cfg.record_tail)
+        return None if unit is None else array("d", [x for x, _ in unit])
 
-    cells = _parallel_map(run_cell, len(alphas) * n_inits, threads)
-    return SweepResult(alphas, cells, sum(cell is None for cell in cells))
+    return SweepResult(alphas, _parallel_map(run_cell, len(alphas) * n_inits, threads))
 
 
 def collapse_alpha(
@@ -661,7 +651,8 @@ def collapse_alpha(
             params, branch, ch2, alphas[i : i + 1], inits, cfg, ell1, dist1, threads,
             first_stream=i * len(inits),
         )
-        tails = [_repeat(*cell)[-COLLAPSE_WINDOW:] for cell in row.cells if cell is not None]
+        tails = [_repeat(unit, cfg.record_tail)[-COLLAPSE_WINDOW:]
+                 for unit in row.cells if unit is not None]
         if not tails or max(map(max, tails)) - min(map(min, tails)) >= COLLAPSE_TOL:
             break
         found = alphas[i]

@@ -22,7 +22,6 @@ from chaosctl import (
     NoiseDist,
     Periodic,
     Point2,
-    SweepCell,
     SweepResult,
     alpha_grid,
     bifurcation_sweep,
@@ -245,8 +244,50 @@ def test_out_file_atomic_and_equal_to_stdout(tmp_path, capsys):
     rc = cli.run_command(argv + ["--out", str(path)])
     capsys.readouterr()
     assert rc == 0
-    assert path.read_text() == out
+    assert path.read_text(encoding="utf-8") == out
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".chaosctl-")]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+_THRESHOLD = ["threshold", "--map", "henon", "--beta", "0.9"]
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path, capsys, umask_022):
+    path = tmp_path / "thr.csv"
+    assert cli.run_command(_THRESHOLD + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o666], ids=oct)
+def test_out_keeps_the_mode_of_the_file_it_replaces(mode, tmp_path, capsys, umask_022):
+    path = tmp_path / "thr.csv"
+    path.write_bytes(b"old bytes\n")
+    os.chmod(path, mode)
+    assert cli.run_command(_THRESHOLD + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text(encoding="utf-8") == cli.render(_THRESHOLD)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_out_writes_through_a_symlink_to_its_target(target_exists, tmp_path, capsys):
+    target, link = tmp_path / "data" / "thr.csv", tmp_path / "link.csv"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_bytes(b"old bytes\n")
+    link.symlink_to(target)
+    rc, out, err = run_cli(_THRESHOLD + ["--out", str(link)], capsys)
+    assert (rc, out, err) == (0, "", f"chaosctl: wrote {link}\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == cli.render(_THRESHOLD)
+    assert os.listdir(tmp_path / "data") == ["thr.csv"]
 
 
 def test_threshold_radius_without_norm_is_usage_error(capsys):
@@ -438,7 +479,7 @@ def test_repro_out_file(tmp_path, capsys):
     assert rc == 0
     assert cli.run_command(["repro", "fig4a", "--seed", "3", "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
-    assert path.read_text() == out
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_repro_round_trip(tmp_path, capsys):
@@ -507,27 +548,28 @@ def test_repro_bytes_equal_in_fresh_interpreters(argv, monkeypatch):
         assert _fresh_process(argv, env) == (0, want), hash_seed
 
 
-def _values(cell):
-    """A sweep cell's tail x values: its unit repeated and cut to its count."""
-    return () if cell is None else [cell.unit[k % len(cell.unit)] for k in range(cell.count)]
+def _values(unit, count):
+    """A sweep cell's tail x values: its unit repeated and cut to count values."""
+    return () if unit is None else [unit[k % len(unit)] for k in range(count)]
 
 
 def _single_join_reference(argv):
     """The bifurcation CSV as one string, by the formula the streamed writer replaced."""
     args = cli._parse(argv)
     lo, hi, n_alpha = args.alpha_range
+    cfg = cli._config(args, Point2(0.1, 0.1))
     res = bifurcation_sweep(
         cli._params(args), cli._branch(args),
         ControlChannel(args.alpha2, args.ell2, NoiseDist(args.dist2)),
-        alpha_grid(lo, hi, n_alpha), default_init_grid(args.inits),
-        cli._config(args, Point2(0.1, 0.1)),
+        alpha_grid(lo, hi, n_alpha), default_init_grid(args.inits), cfg,
         ell1=args.ell1, dist1=NoiseDist(args.dist1),
     )
-    lines = [cli._args_line(args), f"# escaped_cells: {res.escaped_cells}", "alpha,x"]
+    escaped = sum(cell is None for cell in res.cells)
+    lines = [cli._args_line(args), f"# escaped_cells: {escaped}", "alpha,x"]
     per_alpha = len(res.cells) // len(res.alphas)
     for i, alpha in enumerate(res.alphas):
         for cell in res.cells[i * per_alpha : (i + 1) * per_alpha]:
-            lines.extend(f"{alpha!r},{x!r}" for x in _values(cell))
+            lines.extend(f"{alpha!r},{x!r}" for x in _values(cell, cfg.record_tail))
     live = [i for i in range(n_alpha) if any(res.cells[i * per_alpha : (i + 1) * per_alpha])]
     return "\n".join(lines) + "\n", [res.alphas[i] for i in live]
 
@@ -576,16 +618,15 @@ def test_bifurcation_stream_bytes_and_chunks(kind, a, lo, width, n_alpha, n_init
         assert {line.split(",")[0] for line in chunk.splitlines()} == {repr(alpha)}
 
 
-def _spooled_rows(res):
-    """The row chunks that the spooled CSV writer renders from res, fed to it
-    one alpha row at a time, after checking its header."""
+def _spooled_rows(res, tail):
+    """The row chunks that the spooled CSV writer renders from res with tail
+    values a cell, fed to it one alpha row at a time, after checking its header."""
     per_alpha = len(res.cells) // len(res.alphas)
-    rows = []
-    for i, alpha in enumerate(res.alphas):
-        cells = res.cells[i * per_alpha : (i + 1) * per_alpha]
-        rows.append(SweepResult((alpha,), cells, sum(cell is None for cell in cells)))
-    header, *chunks = cli._bifurcation_csv("# args: bifurcation", rows)
-    assert header == f"# args: bifurcation\n# escaped_cells: {res.escaped_cells}\nalpha,x\n"
+    rows = [SweepResult((alpha,), res.cells[i * per_alpha : (i + 1) * per_alpha])
+            for i, alpha in enumerate(res.alphas)]
+    header, *chunks = cli._bifurcation_csv("# args: bifurcation", rows, tail)
+    escaped = sum(cell is None for cell in res.cells)
+    assert header == f"# args: bifurcation\n# escaped_cells: {escaped}\nalpha,x\n"
     return chunks
 
 
@@ -596,22 +637,23 @@ def test_bifurcation_rows_bytes():
     res = SweepResult(
         alphas=(0.1, 0.25, 0.5),
         cells=[
-            SweepCell(array("d", [0.0, -0.0, 0.3]), 3), SweepCell(array("d", [-0.0]), 4), None,
+            array("d", [0.0, -0.0, 0.3]), array("d", [-0.0]), None,
             None, None, None,
-            SweepCell(array("d", [0.7, 1e-300]), 5), None,
-            SweepCell(array("d", [-2.5, 0.7, 0.1 + 0.2]), 2),
+            array("d", [0.7, 1e-300]), None, array("d", [-2.5, 0.7, 0.1 + 0.2]),
         ],
-        escaped_cells=5,
     )
-    chunks = _spooled_rows(res)
+    chunks = _spooled_rows(res, 5)
     reference = [
         "".join(f"{alpha!r},{x!r}\n" for cell in res.cells[3 * i : 3 * i + 3]
-                for x in _values(cell))
+                for x in _values(cell, 5))
         for i, alpha in enumerate(res.alphas)
     ]
     assert chunks == [reference[0], reference[2]]
-    assert chunks[0] == "0.1,0.0\n0.1,-0.0\n0.1,0.3\n" + "0.1,-0.0\n" * 4
-    assert chunks[1] == "0.5,0.7\n0.5,1e-300\n" * 2 + "0.5,0.7\n0.5,-2.5\n0.5,0.7\n"
+    assert chunks[0] == "0.1,0.0\n0.1,-0.0\n0.1,0.3\n0.1,0.0\n0.1,-0.0\n" + "0.1,-0.0\n" * 5
+    assert chunks[1] == (
+        "0.5,0.7\n0.5,1e-300\n" * 2 + "0.5,0.7\n"
+        + "0.5,-2.5\n0.5,0.7\n0.5,0.30000000000000004\n0.5,-2.5\n0.5,0.7\n"
+    )
 
 
 # SHA-256 of `repro <preset> --seed 0` for the sweep presets that the
@@ -672,8 +714,8 @@ def test_closed_stdout_pipe_exits_quietly():
 def test_out_keeps_old_file_when_a_chunk_fails(tmp_path, capsys, monkeypatch, spools):
     csv = cli._bifurcation_csv
 
-    def fail_after_first_row(args_line, rows):
-        chunks = csv(args_line, rows)
+    def fail_after_first_row(*args):
+        chunks = csv(*args)
         yield next(chunks)  # the header
         yield next(chunks)
         raise OSError(28, "No space left on device")
@@ -750,7 +792,7 @@ def test_spool_is_closed_when_the_reader_stops_early(spools):
     # a pipe whose read end is closed: the first flush raises BrokenPipeError
     read_end, write_end = os.pipe()
     os.close(read_end)
-    with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
+    with open(write_end, "w", encoding="utf-8") as pipe, contextlib.redirect_stdout(pipe):
         assert cli.run_command(_SMALL_SWEEP) == 0
     assert len(spools) == 1 and spools[0].closed
 
@@ -784,6 +826,45 @@ def test_spool_that_cannot_be_written_exits_1(capsys, monkeypatch):
     rc, stdout, err = run_cli(_SMALL_SWEEP, capsys)
     assert (rc, stdout) == (1, "")
     assert err == "chaosctl: cannot write the sweep's temp file: No space left on device\n"
+    assert len(made) == 1 and made[0].closed
+
+
+class _FullDisk(io.RawIOBase):
+    """A file whose every write fails as a full disk fails it."""
+
+    def readable(self):
+        return True
+
+    def writable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def seek(self, pos, whence=0):
+        return 0
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_spool_whose_last_flush_fails_exits_1_with_no_output(out, tmp_path, capsys,
+                                                             monkeypatch):
+    # the buffer holds every unit of the sweep, so the disk fails only when
+    # the spool is flushed, after the last row
+    made = []
+    monkeypatch.setattr(
+        tempfile, "TemporaryFile",
+        lambda: made.append(io.BufferedRandom(_FullDisk(), 1 << 20)) or made[-1],
+    )
+    argv = list(_SMALL_SWEEP)
+    if out:
+        argv += ["--out", str(tmp_path / "bif.csv")]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert (rc, stdout) == (1, "")
+    assert err == "chaosctl: cannot write the sweep's temp file: No space left on device\n"
+    assert os.listdir(tmp_path) == []
     assert len(made) == 1 and made[0].closed
 
 
@@ -925,7 +1006,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "chaosctl.cli", "threshold", "--map", "henon",
          "--beta", "0"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert proc.stdout == "alpha_star,0.51639\n"
@@ -996,7 +1077,7 @@ def test_parser_is_not_built_at_import():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import chaosctl.cli as c; print(c._parser.cache_info().currsize)"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n")
 
@@ -1009,8 +1090,8 @@ _value = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_in
 
 @st.composite
 def _cell(draw):
-    """A sweep cell: a unit of one value, a short cycle, all distinct or mixed,
-    repeated to a count that may cut its last turn short."""
+    """A sweep cell's unit of doubles: one value, a short cycle, all distinct
+    or mixed."""
     kind = draw(st.sampled_from(["constant", "cycle", "distinct", "mixed"]))
     if kind == "constant":
         unit = [draw(_value)]
@@ -1020,24 +1101,25 @@ def _cell(draw):
         unit = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60, unique=True))
     else:
         unit = draw(st.lists(st.sampled_from(_SPECIAL), min_size=1, max_size=60))
-    count = draw(st.one_of(st.integers(1, 200), st.just(len(unit))))
-    return SweepCell(array("d", unit), count)
+    return array("d", unit)
 
 
 @settings(deadline=None, max_examples=300)
 @given(cells=st.lists(st.one_of(st.none(), _cell()), min_size=2, max_size=12),
-       per_alpha=st.sampled_from([1, 2]))
-def test_bifurcation_rows_equal_plain_repr(cells, per_alpha):
+       per_alpha=st.sampled_from([1, 2]), data=st.data())
+def test_bifurcation_rows_equal_plain_repr(cells, per_alpha, data):
     cells = cells[: len(cells) // per_alpha * per_alpha]
     alphas = tuple(0.1 * i for i in range(len(cells) // per_alpha))
-    res = SweepResult(alphas, cells, sum(cell is None for cell in cells))
+    # a tail that may cut a unit's last turn short, or hold one unit whole
+    lengths = [len(cell) for cell in cells if cell is not None] or [1]
+    tail = data.draw(st.one_of(st.integers(1, 200), st.sampled_from(lengths)))
     # the plain per-value rendering: one chunk per alpha with a row
     plain = [
         "".join(f"{alpha!r},{x!r}\n" for cell in cells[i * per_alpha : (i + 1) * per_alpha]
-                for x in _values(cell))
+                for x in _values(cell, tail))
         for i, alpha in enumerate(alphas)
     ]
-    assert _spooled_rows(res) == [chunk for chunk in plain if chunk]
+    assert _spooled_rows(SweepResult(alphas, cells), tail) == [chunk for chunk in plain if chunk]
 
 
 _pair = st.tuples(_value, _value)
@@ -1230,7 +1312,7 @@ def test_startup_imports_only_what_every_command_needs():
     # a fresh interpreter, as the console script starts one
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", _STARTUP, src],
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "chaosctl.cli" in added

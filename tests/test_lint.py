@@ -29,7 +29,7 @@ def test_modules_are_found():
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(name, line) for name, line in _imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it never uses"
@@ -49,7 +49,7 @@ _SCALAR_REFERENCE = {
 )
 def test_only_control_imports_the_scalar_reference(path):
     # __init__, not among _MODULES, re-exports next_rand and RngState
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [
         (alias.name, node.lineno)
         for node in ast.walk(tree)
@@ -86,7 +86,7 @@ def _reads(node):
 
 def test_every_private_name_is_read():
     # a private helper that no code reads is dead code left behind
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in _MODULES}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in _MODULES}
     read = {name for tree in trees.values() for name in _reads(tree)}
     unread = [(module, name, line) for module, tree in trees.items()
               for name, line in _private_definitions(tree) if name not in read]
@@ -109,10 +109,10 @@ _UNREAD_PUBLIC = {
 def test_every_public_name_is_read():
     # a public function or class that only __init__ exports is dead code; a
     # definition's reads of its own name do not count
-    read = {name for p in _PERFBENCH for name in _reads(ast.parse(p.read_text()))}
+    read = {name for p in _PERFBENCH for name in _reads(ast.parse(p.read_text(encoding="utf-8")))}
     public = []
     for path in _MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 public.append((path.stem, node.name))

@@ -25,7 +25,6 @@ from chaosctl import (
     RngState,
     SimConfig,
     Stochastic,
-    SweepCell,
     SweepResult,
     Trajectory,
 )
@@ -46,8 +45,7 @@ RECORDS = [
     Trajectory([(0.0, 0.0)], [], Bounded(), 0),
     MonteCarloReport(4, 2, 0.5, 0.1, 0.9),
     PointSet((Point2(0.0, 0.0),)),
-    SweepCell(array("d", [0.3]), 200),
-    SweepResult((0.1, 0.2), [None, SweepCell(array("d", [0.3]), 200)], 1),
+    SweepResult((0.1, 0.2), [None, array("d", [0.3])]),
     NuModel(1.0, 0.1, 0.2, NoiseDist.BERNOULLI_PM1, NoiseDist.UNIFORM_M1P1, True),
     CheckRow("x", True, "ok"),
 ]

@@ -727,19 +727,19 @@ def test_near_target_period_one_is_converged(henon_std):
 
 # --- bifurcation sweeps ---------------------------------------------------------
 
-def _values(cell):
-    """A sweep cell's tail x values: its unit repeated and cut to its count."""
-    return None if cell is None else [cell.unit[k % len(cell.unit)] for k in range(cell.count)]
+def _values(unit, count):
+    """A sweep cell's tail x values: its unit repeated and cut to count values."""
+    return None if unit is None else [unit[k % len(unit)] for k in range(count)]
 
 
-def _collapse_from_cells(res, n_inits):
+def _collapse_from_cells(res, n_inits, tail):
     """Reference collapse point of a full sweep: the lowest alpha of the run of
     alphas at the top of the grid whose cells that did not escape keep the
     x-spread of their last COLLAPSE_WINDOW tail points below COLLAPSE_TOL."""
     collapsed = []
     for i in range(len(res.alphas)):
         tails = [x for cell in res.cells[i * n_inits:(i + 1) * n_inits] if cell
-                 for x in _values(cell)[-sim.COLLAPSE_WINDOW:]]
+                 for x in _values(cell, tail)[-sim.COLLAPSE_WINDOW:]]
         collapsed.append(bool(tails) and max(tails) - min(tails) < sim.COLLAPSE_TOL)
     want = None
     i = len(collapsed)
@@ -761,10 +761,9 @@ def test_bifurcation_collapse_narrow(henon_std):
     res = _grid_sweep(*args)
     got = collapse_alpha(*args)
     assert got == pytest.approx(0.5164, abs=5e-3)
-    assert got == _collapse_from_cells(res, 8)
-    assert res.escaped_cells == 0
+    assert got == _collapse_from_cells(res, 8, cfg.record_tail)
     assert len(res.cells) == 60 * 8
-    assert all(len(_values(cell)) == cfg.record_tail for cell in res.cells)
+    assert all(cell is not None and 1 <= len(cell) <= cfg.record_tail for cell in res.cells)
 
 
 @pytest.mark.parametrize("case", verify.COLLAPSE_CASES, ids=lambda c: c[0])
@@ -791,9 +790,9 @@ def test_bifurcation_threads_bit_identical(henon_std):
     args = (henon_std, PLUS, ControlChannel(0.0), 0.4, 0.6, 20, default_init_grid(5), cfg)
     serial = _grid_sweep(*args, ell1=0.1, threads=1)
     parallel = _grid_sweep(*args, ell1=0.1, threads=4)
-    # the same units and counts, signs of zero included
+    # the same units and escaped cells, signs of zero included
     assert repr(serial.cells) == repr(parallel.cells)
-    want = _collapse_from_cells(serial, 5)
+    want = _collapse_from_cells(serial, 5, cfg.record_tail)
     assert serial.alphas[0] < want
     assert collapse_alpha(*args, ell1=0.1, threads=4) == want
     assert collapse_alpha(*args, ell1=0.1, threads=1) == want
@@ -814,8 +813,8 @@ def test_collapse_alpha_outcomes(params, lo, hi, n_alpha, ell1, outcome, escaped
     args = (params, PLUS, ControlChannel(0.0), lo, hi, n_alpha, default_init_grid(3), cfg)
     res = _grid_sweep(*args, ell1=ell1)
     got = collapse_alpha(*args, ell1=ell1)
-    assert got == _collapse_from_cells(res, 3)
-    assert (res.escaped_cells > 0) == escaped
+    assert got == _collapse_from_cells(res, 3, cfg.record_tail)
+    assert any(cell is None for cell in res.cells) == escaped
     if outcome == "none":
         assert got is None
     elif outcome == "bottom":
@@ -856,12 +855,14 @@ def test_sweep_cells_match_spread_collapse_and_csv(kind, a, lo, width, n_alpha, 
     sweep_args = (cli._params(args), PLUS, ControlChannel(0.0), lo, lo + width, n_alpha,
                   default_init_grid(n_inits), cli._config(args, Point2(0.1, 0.1)))
     res = _grid_sweep(*sweep_args, ell1=ell1)
+    tail = sweep_args[-1].record_tail
     assert len(res.cells) == n_alpha * n_inits
-    assert res.escaped_cells == sum(cell is None for cell in res.cells)
-    assert collapse_alpha(*sweep_args, ell1=ell1) == _collapse_from_cells(res, n_inits)
-    rows = cli.render(argv).splitlines()[3:]
-    assert rows == [f"{res.alphas[k // n_inits]!r},{x!r}"
-                    for k, cell in enumerate(res.cells) for x in _values(cell) or ()]
+    assert collapse_alpha(*sweep_args, ell1=ell1) == _collapse_from_cells(res, n_inits, tail)
+    escaped = sum(cell is None for cell in res.cells)
+    lines = cli.render(argv).splitlines()
+    assert lines[1] == f"# escaped_cells: {escaped}"
+    assert lines[3:] == [f"{res.alphas[k // n_inits]!r},{x!r}"
+                         for k, cell in enumerate(res.cells) for x in _values(cell, tail) or ()]
 
 
 @settings(deadline=None, max_examples=60)
@@ -890,15 +891,15 @@ def test_rows_swept_one_call_each_equal_the_grid_sweep(params, lo, width, n_alph
         for r, alpha in enumerate(alphas)
     ]
     assert tuple(alpha for row in rows for alpha in row.alphas) == whole.alphas
-    # the same units and counts, signs of zero included
+    # the same units and escaped cells, signs of zero included
     assert repr([cell for row in rows for cell in row.cells]) == repr(whole.cells)
-    assert sum(row.escaped_cells for row in rows) == whole.escaped_cells
 
 
-#: Bytes a finished sweep may retain per cell.  A cell keeps its unit of
-#: doubles and two small records: about 1.74 KB for a noisy 200-value tail
-#: and 0.15 KB for a converged one.  A list of 200 float references alone
-#: takes 1.66 KB, so a sweep that keeps its tails as lists exceeds this.
+#: Bytes a finished sweep may retain per cell.  A cell is its unit of
+#: doubles, an array of about 80 bytes of header and 8 a value, and its slot
+#: in the list of cells: about 1.69 KB for a noisy 200-value tail and 0.1 KB
+#: for a converged one.  A list of 200 float references alone takes
+#: 1.66 KB, so a sweep that keeps its tails as lists exceeds this.
 _CELL_BYTES = 1536
 
 
@@ -914,7 +915,7 @@ def test_sweep_retains_units_of_doubles(henon_std):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    units = [len(cell.unit) for cell in res.cells if cell is not None]
+    units = [len(cell) for cell in res.cells if cell is not None]
     assert 1 in units and 200 in units  # converged and noisy cells both
     assert retained / len(res.cells) <= _CELL_BYTES
 
@@ -959,8 +960,8 @@ def _cell_matches_reference(params, branch, schedule, cfg):
     if not tail:
         assert cell is None
         return None
-    assert cell.count == cfg.record_tail == len(tail)
-    assert repr(_values(cell)) == repr([x for x, _ in tail])
+    assert cfg.record_tail == len(tail)
+    assert repr(_values(cell, cfg.record_tail)) == repr([x for x, _ in tail])
     return cell
 
 
@@ -968,7 +969,7 @@ def _cell_matches_reference(params, branch, schedule, cfg):
 def test_sweep_unit_of_named_runs(name):
     cell = _cell_matches_reference(*_named_cell_run(name))
     want = _UNIT_LENGTHS[name] if name in _TAIL_CASES else _CELL_CASES[name][2]
-    assert len(cell.unit) == want
+    assert len(cell) == want
 
 
 @st.composite
@@ -999,7 +1000,7 @@ def _cell_runs(draw):
 def test_cell_matches_the_step_reference(run):
     cell = _cell_matches_reference(*run)
     # the unit is one value, one turn of a cycle, or the whole tail
-    assert cell is None or len(cell.unit) <= cell.count
+    assert cell is None or len(cell) <= run[3].record_tail
 
 
 @given(
